@@ -16,10 +16,10 @@ from svcascade import dvector, ge2e, metrics, scoring, synthcorpus
 
 
 def eer_for(params, corpus, trials):
-    scored = scoring.score_trials(params, None, corpus, trials)
-    tgt = [s.td_score for s in scored if s.trial.is_target]
-    non = [s.td_score for s in scored if not s.trial.is_target]
-    return metrics.compute_eer(tgt, non).eer
+    """TI EER of a model trained on keyword+query: the `ti` column scores
+    that segment, while the `td` column would embed the keyword alone."""
+    scores = scoring.score_trials(params, params, corpus, trials)
+    return metrics.compute_eer(scores.ti[scores.labels], scores.ti[~scores.labels]).eer
 
 
 def main() -> int:

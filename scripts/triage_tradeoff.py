@@ -25,8 +25,8 @@ def main() -> int:
     parser.add_argument("--query-frames", type=int, default=300)
     args = parser.parse_args()
 
-    scored = scoring.load_scores(args.scores)
-    sweep = sweep_fusion_weight(scored, grid_step=0.01)
+    scores = scoring.load_scores(args.scores)
+    sweep = sweep_fusion_weight(scores, grid_step=0.01)
     alpha = FusionWeight(sweep.alpha_star)
     print(f"# alpha*={sweep.alpha_star:.2f} fused EER={sweep.eer_at_alpha_star:.4f}",
           file=sys.stderr)
@@ -37,7 +37,7 @@ def main() -> int:
         ti_flops=dvector.flops_per_utterance(
             dvector.TI_SPEC, args.keyword_frames + args.query_frames))
 
-    cells = triage.sweep_bands(scored, -1.0, 1.0, args.band_step, alpha)
+    cells = triage.sweep_bands(scores, -1.0, 1.0, args.band_step, alpha)
     frontier = []
     for cell in sorted(cells, key=lambda c: (c.trigger_rate, c.eer)):
         if not frontier or cell.eer < frontier[-1].eer - 1e-12:

@@ -78,13 +78,16 @@ def cmd_score(cfg: ExperimentConfig) -> None:
     td_params = dvector.load_checkpoint(_require(_ckpt_path(cfg, "td"), "train"))
     ti_params = dvector.load_checkpoint(_require(_ckpt_path(cfg, "ti"), "train"))
     os.makedirs(cfg.score_dir, exist_ok=True)
-    scored = scoring.score_trials(td_params, ti_params, corpus, trials)
-    scoring.save_scores(_scores_path(cfg), scored)
+    scores = scoring.score_trials(td_params, ti_params, corpus, trials)
+    scoring.save_scores(_scores_path(cfg), scores)
+
+
+def _load_scores(cfg: ExperimentConfig) -> scoring.ScoreTable:
+    return scoring.load_scores(_require(_scores_path(cfg), "score"))
 
 
 def cmd_fuse_sweep(cfg: ExperimentConfig) -> None:
-    scored = scoring.load_scores(_require(_scores_path(cfg), "score"))
-    result = fusion.sweep_fusion_weight(scored, cfg.fusion_grid_step)
+    result = fusion.sweep_fusion_weight(_load_scores(cfg), cfg.fusion_grid_step)
     os.makedirs(cfg.report_dir, exist_ok=True)
     fusion.save_sweep_csv(os.path.join(cfg.report_dir, "fusion_sweep.csv"), result)
 
@@ -101,41 +104,39 @@ def _resolve_alpha(cfg: ExperimentConfig) -> FusionWeight:
 
 
 def cmd_triage_sweep(cfg: ExperimentConfig) -> None:
-    scored = scoring.load_scores(_require(_scores_path(cfg), "score"))
+    scores = _load_scores(cfg)
     alpha = _resolve_alpha(cfg)
     os.makedirs(cfg.report_dir, exist_ok=True)
-    cells = triage.sweep_bands(scored, cfg.band_min, cfg.band_max, cfg.band_step, alpha)
+    cells = triage.sweep_bands(scores, cfg.band_min, cfg.band_max, cfg.band_step, alpha)
     triage.save_heatmap_csv(os.path.join(cfg.report_dir, "heatmap.csv"), cells)
-    points = triage.prior_sensitivity_curve(
-        scored, cfg.band_min, cfg.band_max, cfg.band_step, alpha, cfg.priors)
+    points = triage.prior_sensitivity_curve(cells, cfg.priors)
     triage.save_prior_curve_csv(os.path.join(cfg.report_dir, "prior_curve.csv"), points)
 
 
 def cmd_triage_apply(cfg: ExperimentConfig) -> None:
-    scored = scoring.load_scores(_require(_scores_path(cfg), "score"))
+    scores = _load_scores(cfg)
     policy = triage.TriagePolicy(cfg.triage_lower, cfg.triage_upper, _resolve_alpha(cfg))
-    triaged = triage.apply_triage(scored, policy)
+    final, triggered = triage.apply_triage(scores, policy)
     os.makedirs(cfg.score_dir, exist_ok=True)
     with open(os.path.join(cfg.score_dir, "triaged.tsv"), "w") as f:
-        for t in triaged:
-            label = "tgt" if t.trial.is_target else "non"
-            f.write(f"{t.trial.enroll_speaker_id}\t{t.trial.test_utterance_id}\t"
-                    f"{label}\t{'%.9f' % t.final_score}\t{int(t.triggered)}\n")
+        for speaker, utt, target, score, trig in zip(
+                scores.speakers, scores.utterances, scores.labels.tolist(),
+                final.tolist(), triggered.tolist()):
+            label = "tgt" if target else "non"
+            f.write(f"{speaker}\t{utt}\t{label}\t{'%.9f' % score}\t{int(trig)}\n")
 
 
 def cmd_eval(cfg: ExperimentConfig) -> None:
-    scored = scoring.load_scores(_require(_scores_path(cfg), "score"))
-    tgt = [s for s in scored if s.trial.is_target]
-    non = [s for s in scored if not s.trial.is_target]
+    scores = _load_scores(cfg)
+    labels = scores.labels
     os.makedirs(cfg.report_dir, exist_ok=True)
     with open(os.path.join(cfg.report_dir, "eval.csv"), "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["system", "eer_percent", "threshold", "targets", "nontargets"])
-        for system in ("td", "ti"):
-            pick = (lambda s: s.td_score) if system == "td" else (lambda s: s.ti_score)
-            if any(pick(s) is None for s in scored):
+        for system, column in (("td", scores.td), ("ti", scores.ti)):
+            if column is None:
                 continue
-            r = metrics.compute_eer([pick(s) for s in tgt], [pick(s) for s in non])
+            r = metrics.compute_eer(column[labels], column[~labels])
             writer.writerow([system, "%.2f" % (100.0 * r.eer), "%.9f" % r.eer_threshold,
                              r.num_targets, r.num_nontargets])
 
@@ -168,30 +169,16 @@ def cmd_xeval(cfg: ExperimentConfig) -> None:
 
 
 def cmd_report(cfg: ExperimentConfig) -> None:
-    scored = scoring.load_scores(_require(_scores_path(cfg), "score"))
+    scores = _load_scores(cfg)
     sweep = fusion.load_sweep_csv(
         _require(os.path.join(cfg.report_dir, "fusion_sweep.csv"), "fuse-sweep"))
-    heatmap_path = _require(os.path.join(cfg.report_dir, "heatmap.csv"), "triage-sweep")
+    best = triage.load_heatmap_csv(
+        _require(os.path.join(cfg.report_dir, "heatmap.csv"), "triage-sweep"))
 
-    tgt = [s for s in scored if s.trial.is_target]
-    non = [s for s in scored if not s.trial.is_target]
-    td_eer = metrics.compute_eer([s.td_score for s in tgt], [s.td_score for s in non]).eer
-    ti_eer = metrics.compute_eer([s.ti_score for s in tgt], [s.ti_score for s in non]).eer
-
-    best = None
-    with open(heatmap_path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["lower", "upper", "eer", "trigger_rate"]:
-            raise DependencyError(f"{heatmap_path} is not a heat map; run `svcascade triage-sweep`")
-        for row in reader:
-            lower, upper, eer, rate = (float(v) for v in row)
-            key = (eer, rate, lower, upper)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise DependencyError(f"{heatmap_path} is empty; run `svcascade triage-sweep`")
-    best_eer, best_rate, best_lower, best_upper = best[0], best[1], best[2], best[3]
+    scores.check_fusable("report")
+    labels = scores.labels
+    td_eer = metrics.compute_eer(scores.td[labels], scores.td[~labels]).eer
+    ti_eer = metrics.compute_eer(scores.ti[labels], scores.ti[~labels]).eer
 
     kw = cfg.corpus_spec.keyword_frames
     total = kw + cfg.corpus_spec.query_frames
@@ -205,12 +192,12 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         "eer_ti=%.9f" % ti_eer,
         "alpha=%.6f" % sweep.alpha_star,
         "eer_fused=%.9f" % sweep.eer_at_alpha_star,
-        "band_lower=%.6f" % best_lower,
-        "band_upper=%.6f" % best_upper,
-        "eer=%.9f" % best_eer,
-        "trigger_rate=%.9f" % best_rate,
-        "expected_latency_seconds=%.9f" % triage.expected_latency(best_rate, cost),
-        "expected_flops=%.1f" % triage.expected_flops(best_rate, cost),
+        "band_lower=%.6f" % best.lower,
+        "band_upper=%.6f" % best.upper,
+        "eer=%.9f" % best.eer,
+        "trigger_rate=%.9f" % best.trigger_rate,
+        "expected_latency_seconds=%.9f" % triage.expected_latency(best.trigger_rate, cost),
+        "expected_flops=%.1f" % triage.expected_flops(best.trigger_rate, cost),
     ]
     os.makedirs(cfg.report_dir, exist_ok=True)
     with open(os.path.join(cfg.report_dir, "report.txt"), "w") as f:

@@ -21,6 +21,13 @@ def _positive_int(v: str) -> int:
     return n
 
 
+def _positive_float(v: str) -> float:
+    x = float(v)
+    if not x > 0:
+        raise ValueError("must be > 0")
+    return x
+
+
 def _nonneg_float(v: str) -> float:
     x = float(v)
     if x < 0:
@@ -94,8 +101,8 @@ SCHEMA: dict[str, tuple] = {
     "triage.band_step": (float, "0.02"),
     "triage.priors": (str, "0,0.5,1"),
 
-    "cost.keyword_seconds": (_nonneg_float, "0.7"),
-    "cost.query_seconds": (_nonneg_float, "3.0"),
+    "cost.keyword_seconds": (_positive_float, "0.7"),
+    "cost.query_seconds": (_positive_float, "3.0"),
 
     "xeval.languages": (str, ""),  # comma list of language ids; empty = all
 }
@@ -136,7 +143,7 @@ class ExperimentConfig:
         return FusionWeight(float(self.triage_alpha))
 
 
-def _parse_overrides(text: str, languages: int) -> dict[int, int]:
+def _parse_overrides(text: str) -> dict[int, int]:
     overrides = {}
     if not text:
         return overrides
@@ -232,7 +239,7 @@ def parse_config(path: str, seed_override: int | None = None) -> ExperimentConfi
         speaker_scale=float(raw["corpus.speaker_scale"]),
         utterance_noise_scale=float(raw["corpus.utterance_noise_scale"]),
         seed=int(raw["corpus.seed"]),
-        utterance_overrides=_parse_overrides(raw["corpus.overrides"], languages),
+        utterance_overrides=_parse_overrides(raw["corpus.overrides"]),
     )
     corpus_spec.validate()
 

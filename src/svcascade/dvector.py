@@ -122,10 +122,6 @@ def zeros_like(params: Parameters) -> Parameters:
     return Parameters(params.spec, {k: np.zeros_like(v) for k, v in params.values.items()})
 
 
-def flatten(params: Parameters) -> np.ndarray:
-    return np.concatenate([np.ravel(params.values[n]) for n in param_names(params.spec)])
-
-
 def global_norm(params: Parameters) -> float:
     return float(np.sqrt(sum(float(np.sum(v * v)) for v in params.values.values())))
 

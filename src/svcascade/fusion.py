@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .metrics import compute_eer
+from .scoring import ScoreTable
 
 
 @dataclass(frozen=True)
@@ -27,24 +28,6 @@ class FusionSweepResult:
     table: list[tuple[float, float]]  # (alpha, eer)
 
 
-def fuse(td_score: float, ti_score: float, weight: FusionWeight) -> float:
-    weight.validate()
-    if not (np.isfinite(td_score) and np.isfinite(ti_score)):
-        raise ValidationError("fused scores must be finite")
-    return weight.alpha * td_score + (1.0 - weight.alpha) * ti_score
-
-
-def _split_scores(scored):
-    td = np.array([s.td_score for s in scored])
-    if any(s.ti_score is None for s in scored):
-        raise ValidationError("fusion sweep needs a TI score on every trial")
-    ti = np.array([s.ti_score for s in scored])
-    labels = np.array([s.trial.is_target for s in scored])
-    if not labels.any() or labels.all():
-        raise ValidationError("fusion sweep needs both target and nontarget trials")
-    return td, ti, labels
-
-
 def alpha_grid(grid_step: float) -> list[float]:
     if not (0.0 < grid_step <= 0.5):
         raise ValidationError(f"grid step must be in (0, 0.5], got {grid_step}")
@@ -56,10 +39,11 @@ def alpha_grid(grid_step: float) -> list[float]:
     return alphas
 
 
-def sweep_fusion_weight(scored, grid_step: float = 0.01) -> FusionSweepResult:
+def sweep_fusion_weight(scores: ScoreTable, grid_step: float = 0.01) -> FusionSweepResult:
     """EER at each alpha on the grid (endpoints always included); the
     minimizing alpha wins, smallest alpha on ties."""
-    td, ti, labels = _split_scores(scored)
+    scores.check_fusable("fusion sweep")
+    td, ti, labels = scores.td, scores.ti, scores.labels
     table = []
     best_alpha, best_eer = None, None
     for alpha in alpha_grid(grid_step):
@@ -87,7 +71,12 @@ def load_sweep_csv(path: str) -> FusionSweepResult:
         if header != ["alpha", "eer"]:
             raise ValidationError(f"{path}: not a fusion sweep file")
         for row in reader:
-            table.append((float(row[0]), float(row[1])))
+            try:
+                alpha, eer = (float(v) for v in row)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{reader.line_num}: expected two numbers (alpha, eer)") from None
+            table.append((alpha, eer))
     if not table:
         raise ValidationError(f"{path}: empty fusion sweep")
     best_alpha, best_eer = min(table, key=lambda ae: (ae[1], ae[0]))

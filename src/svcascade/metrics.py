@@ -49,14 +49,6 @@ def _operating_points(tar: np.ndarray, non: np.ndarray):
     return thresholds, far, frr
 
 
-def far_frr_curve(target_scores, nontarget_scores) -> list[tuple[float, float, float]]:
-    """(threshold, FAR, FRR) rows along increasing thresholds; FAR is
-    nonincreasing and FRR nondecreasing, with both extremes included."""
-    tar, non = _check_scores(target_scores, nontarget_scores)
-    thresholds, far, frr = _operating_points(tar, non)
-    return [(float(t), float(fa), float(fr)) for t, fa, fr in zip(thresholds, far, frr)]
-
-
 def compute_eer(target_scores, nontarget_scores) -> EvalResult:
     tar, non = _check_scores(target_scores, nontarget_scores)
     thresholds, far, frr = _operating_points(tar, non)
@@ -88,21 +80,19 @@ def cross_eval_matrix(models, eval_sets, scorer) -> list[MatrixCell]:
 
     models: list of (name, train_language, td_params, ti_params).
     eval_sets: list of (language, corpus, trials).
-    scorer: callable (td_params, ti_params, corpus, trials) -> scored trials,
+    scorer: callable (td_params, ti_params, corpus, trials) -> ScoreTable,
             normally scoring.score_trials.
     """
     cells: list[MatrixCell] = []
     for name, train_lang, td_params, ti_params in models:
         for eval_lang, corpus, trials in eval_sets:
             try:
-                scored = scorer(td_params, ti_params, corpus, trials)
+                scores = scorer(td_params, ti_params, corpus, trials)
             except Exception as exc:
                 raise type(exc)(f"cell (model={name}, eval_lang={eval_lang}): {exc}") from exc
-            tgt = [s for s in scored if s.trial.is_target]
-            non = [s for s in scored if not s.trial.is_target]
-            for system in ("td", "ti"):
-                pick = (lambda s: s.td_score) if system == "td" else (lambda s: s.ti_score)
-                result = compute_eer([pick(s) for s in tgt], [pick(s) for s in non])
+            labels = scores.labels
+            for system, column in (("td", scores.td), ("ti", scores.ti)):
+                result = compute_eer(column[labels], column[~labels])
                 cells.append(MatrixCell(
                     model_name=name, train_language=train_lang, system=system,
                     eval_language=eval_lang, result=result,

@@ -14,24 +14,26 @@ import numpy as np
 
 from . import dvector
 from .errors import ValidationError
-from .synthcorpus import Corpus, Trial, TrialList
+from .synthcorpus import Corpus, TrialList
 
 NORM_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
-class SpeakerProfile:
-    speaker_id: str
-    td_embedding: np.ndarray
-    ti_embedding: np.ndarray
-    enrollment_utterance_ids: tuple[str, ...]
+class ScoreTable:
+    """Scored trials as columns; row i is trial i in trial order.  `ti` is
+    None when no TI model scored the trials."""
+    speakers: list[str]  # enrollment speaker ids
+    utterances: list[str]  # test utterance ids
+    labels: np.ndarray  # bool, True for target trials
+    td: np.ndarray
+    ti: np.ndarray | None = None
 
-
-@dataclass(frozen=True)
-class ScoredTrial:
-    trial: Trial
-    td_score: float
-    ti_score: float | None = None
+    def check_fusable(self, what: str) -> None:
+        if self.ti is None:
+            raise ValidationError(f"{what} needs a TI score on every trial")
+        if not self.labels.any() or self.labels.all():
+            raise ValidationError(f"{what} needs both target and nontarget trials")
 
 
 def _check_unit(vec: np.ndarray, what: str) -> np.ndarray:
@@ -65,7 +67,7 @@ def _ti_frames(utt) -> np.ndarray:
 
 
 def score_trials(td_params: dvector.Parameters, ti_params: dvector.Parameters | None,
-                 corpus: Corpus, trials: TrialList) -> list[ScoredTrial]:
+                 corpus: Corpus, trials: TrialList) -> ScoreTable:
     """Scores every trial; TI scores are omitted when ti_params is None.
 
     Embeddings are computed once per utterance and enrollment profiles once
@@ -85,7 +87,8 @@ def score_trials(td_params: dvector.Parameters, ti_params: dvector.Parameters | 
             ti_cache[uid] = dvector.forward_embedding(ti_params, _ti_frames(corpus.get(uid)))
         return ti_cache[uid]
 
-    scored: list[ScoredTrial] = []
+    td_scores: list[float] = []
+    ti_scores: list[float] = []
     for trial in trials:
         key = (trial.enroll_speaker_id, trial.enroll_utterance_ids)
         if key not in profile_cache:
@@ -95,27 +98,34 @@ def score_trials(td_params: dvector.Parameters, ti_params: dvector.Parameters | 
                 ti_profile = aggregate_enrollment([ti_embed(u) for u in trial.enroll_utterance_ids])
             profile_cache[key] = (td_profile, ti_profile)
         td_profile, ti_profile = profile_cache[key]
-        td = cosine_score(td_profile, td_embed(trial.test_utterance_id))
-        ti = None
+        td_scores.append(cosine_score(td_profile, td_embed(trial.test_utterance_id)))
         if ti_profile is not None:
-            ti = cosine_score(ti_profile, ti_embed(trial.test_utterance_id))
-        scored.append(ScoredTrial(trial=trial, td_score=td, ti_score=ti))
-    return scored
+            ti_scores.append(cosine_score(ti_profile, ti_embed(trial.test_utterance_id)))
+    return ScoreTable(
+        speakers=[t.enroll_speaker_id for t in trials],
+        utterances=[t.test_utterance_id for t in trials],
+        labels=np.array([t.is_target for t in trials], dtype=bool),
+        td=np.array(td_scores, dtype=np.float64),
+        ti=None if ti_params is None else np.array(ti_scores, dtype=np.float64))
 
 
-def save_scores(path: str, scored: list[ScoredTrial]) -> None:
+def save_scores(path: str, scores: ScoreTable) -> None:
     """TSV: enroll_speaker, test_utt, label, td_score, ti_score with fixed
     9-decimal formatting for bit-reproducible reports."""
+    ti = [None] * len(scores.td) if scores.ti is None else scores.ti.tolist()
     with open(path, "w") as f:
-        for s in scored:
-            label = "tgt" if s.trial.is_target else "non"
-            ti = "%.9f" % s.ti_score if s.ti_score is not None else "NA"
-            f.write(f"{s.trial.enroll_speaker_id}\t{s.trial.test_utterance_id}\t"
-                    f"{label}\t{'%.9f' % s.td_score}\t{ti}\n")
+        for speaker, utt, target, td_score, ti_score in zip(
+                scores.speakers, scores.utterances, scores.labels.tolist(),
+                scores.td.tolist(), ti):
+            label = "tgt" if target else "non"
+            ti_text = "NA" if ti_score is None else "%.9f" % ti_score
+            f.write(f"{speaker}\t{utt}\t{label}\t{'%.9f' % td_score}\t{ti_text}\n")
 
 
-def load_scores(path: str) -> list[ScoredTrial]:
-    scored = []
+def load_scores(path: str) -> ScoreTable:
+    """Reads save_scores' TSV; the TI column must be NA on every line or on
+    none."""
+    speakers, utterances, labels, td, ti = [], [], [], [], []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -124,7 +134,19 @@ def load_scores(path: str) -> list[ScoredTrial]:
             parts = line.split("\t")
             if len(parts) != 5 or parts[2] not in ("tgt", "non"):
                 raise ValidationError(f"{path}:{lineno}: malformed score line")
-            trial = Trial(parts[0], (), parts[1], parts[2] == "tgt")
-            ti = None if parts[4] == "NA" else float(parts[4])
-            scored.append(ScoredTrial(trial=trial, td_score=float(parts[3]), ti_score=ti))
-    return scored
+            try:
+                td.append(float(parts[3]))
+                if parts[4] != "NA":
+                    ti.append(float(parts[4]))
+            except ValueError:
+                raise ValidationError(f"{path}:{lineno}: non-numeric score") from None
+            if len(ti) not in (0, len(td)):
+                raise ValidationError(
+                    f"{path}:{lineno}: TI score must be NA on every line or on none")
+            speakers.append(parts[0])
+            utterances.append(parts[1])
+            labels.append(parts[2] == "tgt")
+    return ScoreTable(speakers=speakers, utterances=utterances,
+                      labels=np.array(labels, dtype=bool),
+                      td=np.array(td, dtype=np.float64),
+                      ti=np.array(ti, dtype=np.float64) if ti else None)

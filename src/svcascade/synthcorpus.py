@@ -96,20 +96,11 @@ class Corpus:
         except KeyError:
             raise ValidationError(f"unknown utterance id {utterance_id!r}") from None
 
-    def speakers(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for u in self.utterances:
-            seen.setdefault(u.speaker_id, None)
-        return list(seen)
-
     def by_speaker(self) -> dict[str, list[Utterance]]:
         out: dict[str, list[Utterance]] = {}
         for u in self.utterances:
             out.setdefault(u.speaker_id, []).append(u)
         return out
-
-    def languages(self) -> list[int]:
-        return sorted({u.language_id for u in self.utterances})
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DependencyError, ValidationError
 from .fusion import FusionWeight
 from .metrics import compute_eer
-from .scoring import ScoredTrial
+from .scoring import ScoreTable
 
 
 class Decision(Enum):
@@ -42,15 +42,6 @@ class TriagePolicy:
 
 
 @dataclass(frozen=True)
-class TriagedTrial:
-    trial: object
-    final_score: float
-    triggered: bool
-    td_score: float
-    ti_score: float | None
-
-
-@dataclass(frozen=True)
 class CostModel:
     keyword_seconds: float
     query_seconds: float
@@ -64,52 +55,51 @@ class CostModel:
             raise ValidationError("cost model flop counts must be nonnegative")
 
 
+def in_band(td, lower: float, upper: float):
+    """True where a TD score lies strictly inside (lower, upper), i.e. the
+    trial escalates to fusion; for a scalar or an array of scores."""
+    return (td > lower) & (td < upper)
+
+
 def triage_decide(td_score: float, policy: TriagePolicy) -> Decision:
     policy.validate()
     if not np.isfinite(td_score):
         raise ValidationError(f"TD score must be finite, got {td_score}")
-    if td_score >= policy.upper:
-        return Decision.CONFIDENT_ACCEPT
-    if td_score <= policy.lower:
-        return Decision.CONFIDENT_REJECT
-    return Decision.TRIGGER
+    if in_band(td_score, policy.lower, policy.upper):
+        return Decision.TRIGGER
+    return Decision.CONFIDENT_ACCEPT if td_score >= policy.upper else Decision.CONFIDENT_REJECT
 
 
-def apply_triage(scored: list[ScoredTrial], policy: TriagePolicy) -> list[TriagedTrial]:
+def apply_triage(scores: ScoreTable, policy: TriagePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """(final, triggered): final is the fused score on triggered trials and
+    the TD score elsewhere.  TI scores are needed only where a trial triggers."""
     policy.validate()
-    out = []
-    for s in scored:
-        triggered = policy.lower < s.td_score < policy.upper
-        if triggered:
-            if s.ti_score is None:
-                raise ValidationError(
-                    f"trial {s.trial.test_utterance_id} triggers but has no TI score")
-            final = policy.alpha.alpha * s.td_score + (1.0 - policy.alpha.alpha) * s.ti_score
-        else:
-            final = s.td_score
-        out.append(TriagedTrial(trial=s.trial, final_score=final, triggered=triggered,
-                                td_score=s.td_score,
-                                ti_score=s.ti_score if triggered else None))
-    return out
+    triggered = in_band(scores.td, policy.lower, policy.upper)
+    if scores.ti is None:
+        if triggered.any():
+            first = scores.utterances[int(np.argmax(triggered))]
+            raise ValidationError(f"trial {first} triggers but has no TI score")
+        fused = scores.td
+    else:
+        fused = policy.alpha.alpha * scores.td + (1.0 - policy.alpha.alpha) * scores.ti
+    return np.where(triggered, fused, scores.td), triggered
 
 
-def trigger_rate(triaged: list[TriagedTrial], prior: float) -> float:
+def trigger_rate(triggered: np.ndarray, labels: np.ndarray, prior: float) -> float:
     """Prior-weighted trigger probability: p * (target trigger fraction)
     + (1-p) * (nontarget trigger fraction)."""
     if not (0.0 <= prior <= 1.0):
         raise ValidationError(f"prior must be in [0, 1], got {prior}")
-    tgt = [t for t in triaged if t.trial.is_target]
-    non = [t for t in triaged if not t.trial.is_target]
     rate = 0.0
     if prior > 0.0:
-        if not tgt:
+        if not labels.any():
             raise ValidationError("prior > 0 needs target trials in the set")
-        rate += prior * sum(t.triggered for t in tgt) / len(tgt)
+        rate += prior * triggered[labels].mean()
     if prior < 1.0:
-        if not non:
+        if labels.all():
             raise ValidationError("prior < 1 needs nontarget trials in the set")
-        rate += (1.0 - prior) * sum(t.triggered for t in non) / len(non)
-    return rate
+        rate += (1.0 - prior) * triggered[~labels].mean()
+    return float(rate)
 
 
 def expected_latency(rate: float, cost: CostModel) -> float:
@@ -133,19 +123,15 @@ class BandCell:
     lower: float
     upper: float
     eer: float
-    trigger_rate: float  # at prior 0.5
+    target_rate: float  # fraction of target trials that trigger
+    nontarget_rate: float
 
+    def rate_at(self, prior: float) -> float:
+        return prior * self.target_rate + (1.0 - prior) * self.nontarget_rate
 
-def _score_arrays(scored: list[ScoredTrial], alpha: FusionWeight):
-    td = np.array([s.td_score for s in scored])
-    if any(s.ti_score is None for s in scored):
-        raise ValidationError("band sweep needs a TI score on every trial")
-    ti = np.array([s.ti_score for s in scored])
-    labels = np.array([s.trial.is_target for s in scored])
-    if not labels.any() or labels.all():
-        raise ValidationError("band sweep needs both target and nontarget trials")
-    fused = alpha.alpha * td + (1.0 - alpha.alpha) * ti
-    return td, fused, labels
+    @property
+    def trigger_rate(self) -> float:
+        return self.rate_at(0.5)
 
 
 def band_grid(grid_min: float, grid_max: float, step: float) -> np.ndarray:
@@ -160,27 +146,24 @@ def band_grid(grid_min: float, grid_max: float, step: float) -> np.ndarray:
     return values
 
 
-def _cell(td, fused, labels, lower, upper, prior=0.5):
-    triggered = (td > lower) & (td < upper)
-    final = np.where(triggered, fused, td)
-    eer = compute_eer(final[labels], final[~labels]).eer
-    rate = prior * triggered[labels].mean() + (1.0 - prior) * triggered[~labels].mean()
-    return eer, float(rate), triggered
-
-
-def sweep_bands(scored: list[ScoredTrial], grid_min: float, grid_max: float,
+def sweep_bands(scores: ScoreTable, grid_min: float, grid_max: float,
                 step: float, alpha: FusionWeight) -> list[BandCell]:
-    """One cell per (lower, upper) grid pair with lower <= upper; EER on the
-    triaged final-score axis, trigger rate at prior 0.5."""
+    """One cell per (lower, upper) grid pair with lower <= upper: the EER on
+    the triaged final-score axis and the per-class trigger rates."""
     alpha.validate()
     values = band_grid(grid_min, grid_max, step)
-    td, fused, labels = _score_arrays(scored, alpha)
+    scores.check_fusable("band sweep")
+    td, labels = scores.td, scores.labels
+    fused = alpha.alpha * td + (1.0 - alpha.alpha) * scores.ti
     cells = []
     for i, lower in enumerate(values):
         for upper in values[i:]:
-            eer, rate, _ = _cell(td, fused, labels, lower, upper)
+            triggered = in_band(td, lower, upper)
+            final = np.where(triggered, fused, td)
             cells.append(BandCell(lower=float(lower), upper=float(upper),
-                                  eer=eer, trigger_rate=rate))
+                                  eer=compute_eer(final[labels], final[~labels]).eer,
+                                  target_rate=float(triggered[labels].mean()),
+                                  nontarget_rate=float(triggered[~labels].mean())))
     return cells
 
 
@@ -193,42 +176,15 @@ class PriorPoint:
     eer: float
 
 
-def prior_sensitivity_curve(scored: list[ScoredTrial], grid_min: float, grid_max: float,
-                            step: float, alpha: FusionWeight,
-                            priors: list[float]) -> list[PriorPoint]:
-    """For each band on the grid and each prior: (trigger rate under that
-    prior, triaged EER).  The EER is prior-independent; only the rate moves."""
-    alpha.validate()
+def prior_sensitivity_curve(cells: list[BandCell], priors: list[float]) -> list[PriorPoint]:
+    """For each swept band and each prior: (trigger rate under that prior,
+    triaged EER).  The EER is prior-independent; only the rate moves."""
     for p in priors:
         if not (0.0 <= p <= 1.0):
             raise ValidationError(f"prior must be in [0, 1], got {p}")
-    values = band_grid(grid_min, grid_max, step)
-    td, fused, labels = _score_arrays(scored, alpha)
-    points = []
-    for i, lower in enumerate(values):
-        for upper in values[i:]:
-            eer, _, triggered = _cell(td, fused, labels, lower, upper)
-            tgt_rate = float(triggered[labels].mean())
-            non_rate = float(triggered[~labels].mean())
-            for p in priors:
-                rate = p * tgt_rate + (1.0 - p) * non_rate
-                points.append(PriorPoint(prior=p, lower=float(lower), upper=float(upper),
-                                         trigger_rate=rate, eer=eer))
-    return points
-
-
-def eer_envelope(points: list[PriorPoint], bin_width: float = 0.01):
-    """Pointwise min/max EER over trigger-rate bins, the best/worst-case
-    envelope of the prior-sensitivity plot.  Returns
-    {bin_center: (min_eer, max_eer)} over all supplied points."""
-    if bin_width <= 0:
-        raise ValidationError("bin width must be positive")
-    bins: dict[int, tuple[float, float]] = {}
-    for pt in points:
-        idx = int(np.floor(pt.trigger_rate / bin_width))
-        lo, hi = bins.get(idx, (np.inf, -np.inf))
-        bins[idx] = (min(lo, pt.eer), max(hi, pt.eer))
-    return {(idx + 0.5) * bin_width: span for idx, span in sorted(bins.items())}
+    return [PriorPoint(prior=p, lower=c.lower, upper=c.upper, trigger_rate=c.rate_at(p),
+                       eer=c.eer)
+            for c in cells for p in priors]
 
 
 def save_heatmap_csv(path: str, cells: list[BandCell]) -> None:
@@ -246,3 +202,26 @@ def save_prior_curve_csv(path: str, points: list[PriorPoint]) -> None:
         writer.writerow(["prior", "trigger_rate", "eer"])
         for pt in points:
             writer.writerow(["%.6f" % pt.prior, "%.9f" % pt.trigger_rate, "%.9f" % pt.eer])
+
+
+def load_heatmap_csv(path: str) -> PriorPoint:
+    """The best band of a heat map: lowest EER, then lowest trigger rate
+    (prior 0.5, as the heat map stores it), then lowest band."""
+    best = None
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        if next(reader, None) != ["lower", "upper", "eer", "trigger_rate"]:
+            raise DependencyError(f"{path} is not a heat map; run `svcascade triage-sweep`")
+        for row in reader:
+            try:
+                lower, upper, eer, rate = (float(v) for v in row)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{reader.line_num}: expected four numbers "
+                    "(lower, upper, eer, trigger_rate)") from None
+            if best is None or (eer, rate, lower, upper) < best:
+                best = (eer, rate, lower, upper)
+    if best is None:
+        raise DependencyError(f"{path} is empty; run `svcascade triage-sweep`")
+    eer, rate, lower, upper = best
+    return PriorPoint(prior=0.5, lower=lower, upper=upper, trigger_rate=rate, eer=eer)

@@ -4,6 +4,17 @@ import pytest
 from svcascade import dvector, ge2e, metrics, scoring, synthcorpus
 
 
+def make_scores(td_tgt, ti_tgt, td_non, ti_non):
+    """A ScoreTable of the given target trials followed by the nontargets."""
+    n_tgt, n_non = len(td_tgt), len(td_non)
+    return scoring.ScoreTable(
+        speakers=["s0"] * (n_tgt + n_non),
+        utterances=[f"t{i}" for i in range(n_tgt)] + [f"n{i}" for i in range(n_non)],
+        labels=np.r_[np.ones(n_tgt, bool), np.zeros(n_non, bool)],
+        td=np.array(list(td_tgt) + list(td_non), dtype=np.float64),
+        ti=np.array(list(ti_tgt) + list(ti_non), dtype=np.float64))
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     spec = synthcorpus.CorpusSpec(

@@ -16,9 +16,8 @@ import pytest
 from svcascade import cli, dvector, ge2e, triage
 from svcascade.fusion import FusionWeight, sweep_fusion_weight
 from svcascade.metrics import compute_eer
-from svcascade.scoring import ScoredTrial
-from svcascade.synthcorpus import Trial
 
+from conftest import make_scores
 from test_metrics import eer_bruteforce
 
 
@@ -84,15 +83,13 @@ def test_criterion_4_eer_oracle_equivalence():
 
 
 def random_scored(rng, n=50):
-    out = []
-    for i in range(n):
-        out.append(ScoredTrial(Trial("s0", (), f"t{i}", True),
-                               float(np.tanh(rng.normal(0.5, 0.4))),
-                               float(np.tanh(rng.normal(0.5, 0.4)))))
-        out.append(ScoredTrial(Trial("s0", (), f"n{i}", False),
-                               float(np.tanh(rng.normal(0.0, 0.4))),
-                               float(np.tanh(rng.normal(0.0, 0.4)))))
-    return out
+    td_tgt, ti_tgt, td_non, ti_non = [], [], [], []
+    for _ in range(n):
+        td_tgt.append(float(np.tanh(rng.normal(0.5, 0.4))))
+        ti_tgt.append(float(np.tanh(rng.normal(0.5, 0.4))))
+        td_non.append(float(np.tanh(rng.normal(0.0, 0.4))))
+        ti_non.append(float(np.tanh(rng.normal(0.0, 0.4))))
+    return make_scores(td_tgt, ti_tgt, td_non, ti_non)
 
 
 def test_criterion_5_triage_degeneracies():
@@ -102,21 +99,20 @@ def test_criterion_5_triage_degeneracies():
     for _ in range(50):
         scored = random_scored(rng)
         alpha = FusionWeight(float(rng.uniform(0, 1)))
-        td = np.array([s.td_score for s in scored])
-        ti = np.array([s.ti_score for s in scored])
-        labels = np.array([s.trial.is_target for s in scored])
+        td, ti, labels = scored.td, scored.ti, scored.labels
         fused = alpha.alpha * td + (1 - alpha.alpha) * ti
         td_eer = compute_eer(td[labels], td[~labels]).eer
         fused_eer = compute_eer(fused[labels], fused[~labels]).eer
 
-        empty = triage.apply_triage(scored, triage.TriagePolicy(0.0, 0.0, alpha))
-        full = triage.apply_triage(scored, triage.TriagePolicy(-1.0, 1.0, alpha))
-        for triaged, expect in ((empty, td_eer), (full, fused_eer)):
-            final = np.array([t.final_score for t in triaged])
+        empty_final, empty_triggered = triage.apply_triage(
+            scored, triage.TriagePolicy(0.0, 0.0, alpha))
+        full_final, full_triggered = triage.apply_triage(
+            scored, triage.TriagePolicy(-1.0, 1.0, alpha))
+        for final, expect in ((empty_final, td_eer), (full_final, fused_eer)):
             got = compute_eer(final[labels], final[~labels]).eer
             ok = ok and got == expect
-        ok = ok and not any(t.triggered for t in empty)
-        ok = ok and all(t.triggered for t in full)
+        ok = ok and not empty_triggered.any()
+        ok = ok and full_triggered.all()
 
         # nested bands: wider band => trigger rate can only grow, at any prior
         bands = sorted([tuple(sorted(rng.uniform(-1, 1, 2))) for _ in range(4)])
@@ -127,7 +123,8 @@ def test_criterion_5_triage_degeneracies():
             nested.append((lo, hi))
         for prior in (0.0, float(rng.uniform(0, 1)), 1.0):
             rates = [triage.trigger_rate(
-                triage.apply_triage(scored, triage.TriagePolicy(lo, hi, alpha)), prior)
+                triage.apply_triage(scored, triage.TriagePolicy(lo, hi, alpha))[1],
+                labels, prior)
                 for lo, hi in nested]
             ok = ok and all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
     elapsed = time.time() - start
@@ -168,9 +165,8 @@ def test_criterion_7_multilingual_generalization(multilingual_runs):
 
 
 def test_criterion_8_triage_efficiency(scored_trials):
-    td_tgt = [s.td_score for s in scored_trials if s.trial.is_target]
-    td_non = [s.td_score for s in scored_trials if not s.trial.is_target]
-    td_eer = compute_eer(td_tgt, td_non).eer
+    td, labels = scored_trials.td, scored_trials.labels
+    td_eer = compute_eer(td[labels], td[~labels]).eer
     alpha = FusionWeight(sweep_fusion_weight(scored_trials, 0.01).alpha_star)
     cells = triage.sweep_bands(scored_trials, -1.0, 1.0, 0.05, alpha)
     efficient = [c for c in cells if c.trigger_rate <= 0.5 and c.eer <= 0.9 * td_eer]

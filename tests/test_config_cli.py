@@ -101,6 +101,15 @@ def test_bad_value_names_key(tmp_path):
         parse_config(str(path))
 
 
+def test_cost_durations_must_be_positive(tmp_path):
+    path = tmp_path / "c.cfg"
+    for text, key in (("cost.keyword_seconds = 0\n", "cost.keyword_seconds"),
+                      ("cost.query_seconds = -1\n", "cost.query_seconds")):
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=key):
+            parse_config(str(path))
+
+
 def test_missing_config_file():
     assert cli.run("gen-data", "/nonexistent/x.cfg") == 1
 
@@ -112,6 +121,34 @@ def test_dependency_errors_in_order(tmp_path, capsys):
                              ("report", "score")):
         assert cli.run(command, str(cfg_path)) == 2
         assert missing in capsys.readouterr().err
+
+
+GOOD_ARTIFACTS = {
+    "scores/scores.tsv": "s0\tu0\ttgt\t0.9\t0.8\ns0\tu1\tnon\t0.1\t0.2\n",
+    "reports/fusion_sweep.csv": "alpha,eer\n0.000000,0.0\n1.000000,0.5\n",
+    "reports/heatmap.csv": "lower,upper,eer,trigger_rate\n0.0,0.0,0.0,0.0\n",
+}
+
+
+@pytest.mark.parametrize("rel, text, command, where", [
+    pytest.param("scores/scores.tsv", "s0\tu0\ttgt\t0.9\t0.8\ns0\tu1\tnon\tlow\t0.2\n",
+                 "eval", "scores.tsv:2", id="scores-non-numeric"),
+    pytest.param("scores/scores.tsv", "s0\tu0\ttgt\t0.9\t0.8\ns0\tu1\tnon\t0.1\tNA\n",
+                 "eval", "scores.tsv:2", id="scores-partial-na"),
+    pytest.param("reports/fusion_sweep.csv", "alpha,eer\n0.0,0.1\n1.0\n",
+                 "triage-sweep", "fusion_sweep.csv:3", id="sweep-short-row"),
+    pytest.param("reports/fusion_sweep.csv", "alpha,eer\n0.0,abc\n",
+                 "triage-sweep", "fusion_sweep.csv:2", id="sweep-non-numeric"),
+    pytest.param("reports/heatmap.csv", "lower,upper,eer,trigger_rate\n0.0,0.0,x,0.0\n",
+                 "report", "heatmap.csv:2", id="heatmap-non-numeric"),
+])
+def test_bad_artifact_names_file_and_line(tmp_path, capsys, rel, text, command, where):
+    cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path))
+    for name, content in {**GOOD_ARTIFACTS, rel: text}.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(content)
+    assert cli.run(command, str(cfg_path)) == 1
+    assert where in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

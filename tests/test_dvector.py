@@ -3,7 +3,7 @@ import pytest
 
 from svcascade import dvector
 from svcascade.dvector import (
-    TD_SMALL, TD_SPEC, TI_SMALL, TI_SPEC, NetworkSpec, flatten,
+    TD_SMALL, TD_SPEC, TI_SMALL, TI_SPEC, NetworkSpec,
     flops_per_utterance, forward_embedding, init_network, load_checkpoint,
     param_count, param_shapes, save_checkpoint)
 from svcascade.errors import NumericError, ValidationError
@@ -45,7 +45,9 @@ def test_flops_rejects_zero_frames():
 def test_init_deterministic():
     a = init_network(TD_SMALL, seed=5)
     b = init_network(TD_SMALL, seed=5)
-    assert np.array_equal(flatten(a), flatten(b))
+    assert a.values.keys() == b.values.keys()
+    for name in a.values:
+        assert np.array_equal(a[name], b[name]), name
 
 
 def test_init_forget_bias_and_bounds():
@@ -107,7 +109,9 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = load_checkpoint(str(path))
     assert loaded.spec == params.spec
     # stored at float32 precision
-    assert np.allclose(flatten(loaded), flatten(params), rtol=1e-6, atol=1e-7)
+    assert loaded.values.keys() == params.values.keys()
+    for name in params.values:
+        assert np.allclose(loaded[name], params[name], rtol=1e-6, atol=1e-7), name
     # save(load(x)) is byte-stable
     path2 = tmp_path / "m2.ckpt"
     save_checkpoint(str(path2), loaded)

@@ -4,34 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svcascade.errors import ValidationError
-from svcascade.fusion import (
-    FusionWeight, alpha_grid, fuse, load_sweep_csv, save_sweep_csv,
-    sweep_fusion_weight)
+from svcascade.fusion import alpha_grid, load_sweep_csv, save_sweep_csv, sweep_fusion_weight
 from svcascade.metrics import compute_eer
-from svcascade.scoring import ScoredTrial
-from svcascade.synthcorpus import Trial
+from svcascade.scoring import ScoreTable
 
-
-def make_scored(td_tgt, ti_tgt, td_non, ti_non):
-    out = []
-    for i, (td, ti) in enumerate(zip(td_tgt, ti_tgt)):
-        out.append(ScoredTrial(Trial("s0", (), f"t{i}", True), td, ti))
-    for i, (td, ti) in enumerate(zip(td_non, ti_non)):
-        out.append(ScoredTrial(Trial("s0", (), f"n{i}", False), td, ti))
-    return out
-
-
-def test_fuse_endpoints_and_midpoint():
-    assert fuse(0.4, 0.8, FusionWeight(1.0)) == 0.4
-    assert fuse(0.4, 0.8, FusionWeight(0.0)) == 0.8
-    assert fuse(0.4, 0.8, FusionWeight(0.5)) == pytest.approx(0.6)
-
-
-def test_fuse_validates():
-    with pytest.raises(ValidationError):
-        fuse(0.1, 0.2, FusionWeight(1.5))
-    with pytest.raises(ValidationError):
-        fuse(float("nan"), 0.2, FusionWeight(0.5))
+from conftest import make_scores
 
 
 def test_alpha_grid_includes_endpoints():
@@ -47,7 +24,7 @@ def test_identical_scores_pick_smallest_alpha():
     rng = np.random.default_rng(0)
     tgt = rng.uniform(0.4, 1.0, 30)
     non = rng.uniform(-1.0, 0.6, 30)
-    scored = make_scored(tgt, tgt, non, non)
+    scored = make_scores(tgt, tgt, non, non)
     result = sweep_fusion_weight(scored, grid_step=0.1)
     assert result.alpha_star == 0.0  # all alphas tie, smallest wins
     base = compute_eer(tgt, non).eer
@@ -58,7 +35,7 @@ def test_identical_scores_pick_smallest_alpha():
 def test_complementary_scores_perfect_at_midpoint():
     # each system alone misorders one pair; their mean separates cleanly:
     # fused targets all 0.6, fused nontargets all 0.4 at alpha = 0.5
-    scored = make_scored(td_tgt=[0.9, 0.3, 0.6], ti_tgt=[0.3, 0.9, 0.6],
+    scored = make_scores(td_tgt=[0.9, 0.3, 0.6], ti_tgt=[0.3, 0.9, 0.6],
                          td_non=[0.8, 0.0, 0.4], ti_non=[0.0, 0.8, 0.4])
     result = sweep_fusion_weight(scored, grid_step=0.05)
     assert result.eer_at_alpha_star == 0.0
@@ -74,7 +51,7 @@ def test_sweep_never_worse_than_endpoints():
     rng = np.random.default_rng(7)
     for _ in range(20):
         n = int(rng.integers(5, 60))
-        scored = make_scored(rng.standard_normal(n) + 0.8, rng.standard_normal(n) + 0.8,
+        scored = make_scores(rng.standard_normal(n) + 0.8, rng.standard_normal(n) + 0.8,
                              rng.standard_normal(n), rng.standard_normal(n))
         result = sweep_fusion_weight(scored, grid_step=0.05)
         endpoint = {a: e for a, e in result.table}
@@ -84,7 +61,7 @@ def test_sweep_never_worse_than_endpoints():
 
 def test_finer_grid_never_hurts():
     rng = np.random.default_rng(3)
-    scored = make_scored(rng.standard_normal(40) + 0.5, rng.standard_normal(40) + 0.7,
+    scored = make_scores(rng.standard_normal(40) + 0.5, rng.standard_normal(40) + 0.7,
                          rng.standard_normal(40), rng.standard_normal(40))
     coarse = sweep_fusion_weight(scored, grid_step=0.25)
     fine = sweep_fusion_weight(scored, grid_step=0.05)
@@ -100,11 +77,11 @@ def test_sweep_on_trained_scores(scored_trials):
 
 
 def test_sweep_requires_both_labels_and_ti():
-    only_tgt = make_scored([0.9], [0.9], [], [])
+    only_tgt = make_scores([0.9], [0.9], [], [])
     with pytest.raises(ValidationError):
         sweep_fusion_weight(only_tgt)
-    missing_ti = [ScoredTrial(Trial("s0", (), "t0", True), 0.9, None),
-                  ScoredTrial(Trial("s0", (), "n0", False), 0.1, 0.1)]
+    missing_ti = ScoreTable(["s0", "s0"], ["t0", "n0"], np.array([True, False]),
+                            np.array([0.9, 0.1]), None)
     with pytest.raises(ValidationError):
         sweep_fusion_weight(missing_ti)
 
@@ -113,7 +90,7 @@ def test_sweep_requires_both_labels_and_ti():
 @given(st.integers(0, 10**6))
 def test_sweep_csv_roundtrip(tmp_path_factory, seed):
     rng = np.random.default_rng(seed)
-    scored = make_scored(rng.standard_normal(10) + 1.0, rng.standard_normal(10) + 1.0,
+    scored = make_scores(rng.standard_normal(10) + 1.0, rng.standard_normal(10) + 1.0,
                          rng.standard_normal(10), rng.standard_normal(10))
     result = sweep_fusion_weight(scored, grid_step=0.1)
     path = tmp_path_factory.mktemp("sweep") / "fusion_sweep.csv"

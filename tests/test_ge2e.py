@@ -176,7 +176,9 @@ def test_train_deterministic(small_corpus):
                       language_weights={0: 1.0, 3: 2.0}, seed=9)
     a, trace_a = train(small_corpus, dvector.TD_SMALL, cfg, SEGMENT_KEYWORD)
     b, trace_b = train(small_corpus, dvector.TD_SMALL, cfg, SEGMENT_KEYWORD)
-    assert dvector.flatten(a).tobytes() == dvector.flatten(b).tobytes()
+    assert a.values.keys() == b.values.keys()
+    for name in a.values:
+        assert a[name].tobytes() == b[name].tobytes(), name
     assert trace_a == trace_b
 
 

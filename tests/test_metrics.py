@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svcascade.errors import ValidationError
-from svcascade.metrics import compute_eer, cross_eval_matrix, far_frr_curve
+from svcascade.metrics import _operating_points, compute_eer, cross_eval_matrix
+
+from conftest import make_scores
 
 
 def eer_bruteforce(tar, non):
@@ -51,6 +53,11 @@ def test_empty_class_rejected():
         compute_eer([], [0.1])
     with pytest.raises(ValidationError):
         compute_eer([0.4], [])
+
+
+def far_frr_curve(tar, non):
+    """(threshold, FAR, FRR) rows of the operating points compute_eer uses."""
+    return list(zip(*_operating_points(np.asarray(tar, float), np.asarray(non, float))))
 
 
 def test_curve_extremes():
@@ -123,18 +130,8 @@ def test_negate_and_swap_leaves_eer_unchanged(seed):
 
 
 def test_cross_eval_matrix_shape_and_flags():
-    class FakeTrial:
-        def __init__(self, is_target):
-            self.is_target = is_target
-
-    class FakeScored:
-        def __init__(self, is_target, score):
-            self.trial = FakeTrial(is_target)
-            self.td_score = score
-            self.ti_score = score
-
     def scorer(td_params, ti_params, corpus, trials):
-        return [FakeScored(True, 0.9), FakeScored(False, 0.1)]
+        return make_scores([0.9], [0.9], [0.1], [0.1])
 
     models = [("mono0", 0, None, None), ("mono1", 1, None, None)]
     eval_sets = [(0, None, None), (1, None, None)]

@@ -80,46 +80,45 @@ def test_cosine_rejects_unnormalized():
 
 def test_score_trials_order_and_labels(small_corpus, trained_models, scored_trials):
     trials = split_trials(small_corpus, 200, 200, 3, seed=11)
-    assert [s.trial for s in scored_trials] == list(trials.trials)
-    for s in scored_trials:
-        assert -1.0 <= s.td_score <= 1.0
-        assert -1.0 <= s.ti_score <= 1.0
+    assert scored_trials.speakers == [t.enroll_speaker_id for t in trials]
+    assert scored_trials.utterances == [t.test_utterance_id for t in trials]
+    assert scored_trials.labels.tolist() == [t.is_target for t in trials]
+    for column in (scored_trials.td, scored_trials.ti):
+        assert column.shape == (len(trials),)
+        assert np.all((-1.0 <= column) & (column <= 1.0))
 
 
 def test_score_trials_ti_optional(small_corpus, trained_models):
     trials = split_trials(small_corpus, 20, 20, 3, seed=13)
-    scored = score_trials(trained_models["td"], None, small_corpus, trials)
-    assert all(s.ti_score is None for s in scored)
+    scores = score_trials(trained_models["td"], None, small_corpus, trials)
+    assert scores.ti is None and scores.td.shape == (len(trials),)
 
 
 def test_trained_models_separate_speakers(scored_trials):
-    td_tgt = [s.td_score for s in scored_trials if s.trial.is_target]
-    td_non = [s.td_score for s in scored_trials if not s.trial.is_target]
-    assert np.mean(td_tgt) > np.mean(td_non) + 0.2
-    assert compute_eer(td_tgt, td_non).eer < 0.15
-    ti_tgt = [s.ti_score for s in scored_trials if s.trial.is_target]
-    ti_non = [s.ti_score for s in scored_trials if not s.trial.is_target]
-    assert compute_eer(ti_tgt, ti_non).eer < 0.15
+    td, ti, labels = scored_trials.td, scored_trials.ti, scored_trials.labels
+    assert np.mean(td[labels]) > np.mean(td[~labels]) + 0.2
+    assert compute_eer(td[labels], td[~labels]).eer < 0.15
+    assert compute_eer(ti[labels], ti[~labels]).eer < 0.15
 
 
 def test_scores_tsv_roundtrip(tmp_path, scored_trials):
     path = tmp_path / "scores.tsv"
-    save_scores(str(path), scored_trials[:50])
+    save_scores(str(path), scored_trials)
     loaded = load_scores(str(path))
-    assert len(loaded) == 50
-    for a, b in zip(loaded, scored_trials):
-        assert a.trial.is_target == b.trial.is_target
-        assert a.td_score == pytest.approx(b.td_score, abs=1e-9)
-        assert a.ti_score == pytest.approx(b.ti_score, abs=1e-9)
+    assert loaded.speakers == scored_trials.speakers
+    assert loaded.utterances == scored_trials.utterances
+    assert loaded.labels.tolist() == scored_trials.labels.tolist()
+    assert loaded.td == pytest.approx(scored_trials.td, abs=1e-9)
+    assert loaded.ti == pytest.approx(scored_trials.ti, abs=1e-9)
 
 
 def test_scores_tsv_na_for_missing_ti(tmp_path, small_corpus, trained_models):
     trials = split_trials(small_corpus, 5, 5, 3, seed=17)
-    scored = score_trials(trained_models["td"], None, small_corpus, trials)
+    scores = score_trials(trained_models["td"], None, small_corpus, trials)
     path = tmp_path / "scores.tsv"
-    save_scores(str(path), scored)
+    save_scores(str(path), scores)
     assert all(line.endswith("\tNA") for line in path.read_text().splitlines())
-    assert all(s.ti_score is None for s in load_scores(str(path)))
+    assert load_scores(str(path)).ti is None
 
 
 def test_load_scores_rejects_malformed(tmp_path):

@@ -4,23 +4,14 @@ import pytest
 from svcascade.errors import ValidationError
 from svcascade.fusion import FusionWeight, sweep_fusion_weight
 from svcascade.metrics import compute_eer
-from svcascade.scoring import ScoredTrial
-from svcascade.synthcorpus import Trial
+from svcascade.scoring import ScoreTable
 from svcascade.triage import (
-    CostModel, Decision, PriorPoint, TriagePolicy, apply_triage, eer_envelope,
-    expected_flops, expected_latency, prior_sensitivity_curve, sweep_bands,
-    triage_decide, trigger_rate)
+    CostModel, Decision, TriagePolicy, apply_triage, expected_flops, expected_latency,
+    in_band, prior_sensitivity_curve, sweep_bands, triage_decide, trigger_rate)
+
+from conftest import make_scores
 
 POLICY = TriagePolicy(lower=0.23, upper=0.65, alpha=FusionWeight(0.5))
-
-
-def make_scored(td_tgt, ti_tgt, td_non, ti_non):
-    out = []
-    for i, (td, ti) in enumerate(zip(td_tgt, ti_tgt)):
-        out.append(ScoredTrial(Trial("s0", (), f"t{i}", True), td, ti))
-    for i, (td, ti) in enumerate(zip(td_non, ti_non)):
-        out.append(ScoredTrial(Trial("s0", (), f"n{i}", False), td, ti))
-    return out
 
 
 def test_decide_regions():
@@ -32,6 +23,9 @@ def test_decide_regions():
 def test_decide_boundaries_are_confident():
     assert triage_decide(0.65, POLICY) is Decision.CONFIDENT_ACCEPT
     assert triage_decide(0.23, POLICY) is Decision.CONFIDENT_REJECT
+    assert triage_decide(0.4, TriagePolicy(0.4, 0.4, FusionWeight(0.5))) \
+        is Decision.CONFIDENT_ACCEPT
+    assert in_band(np.array([0.23, 0.24, 0.65]), 0.23, 0.65).tolist() == [False, True, False]
 
 
 def test_decide_validates():
@@ -41,62 +35,65 @@ def test_decide_validates():
         TriagePolicy(0.7, 0.3, FusionWeight(0.5)).validate()
     with pytest.raises(ValidationError):
         TriagePolicy(-2.0, 0.3, FusionWeight(0.5)).validate()
+    with pytest.raises(ValidationError, match="fusion weight"):
+        TriagePolicy(0.2, 0.3, FusionWeight(1.5)).validate()
 
 
 def test_apply_mixed_hand_case():
-    scored = make_scored([0.9, 0.3], [0.5, 0.7], [0.1], [0.8])
-    triaged = apply_triage(scored, POLICY)
-    assert [t.triggered for t in triaged] == [False, True, False]
-    assert triaged[0].final_score == 0.9
-    assert triaged[0].ti_score is None  # TI not consulted on confident trials
-    assert triaged[1].final_score == pytest.approx(0.5 * 0.3 + 0.5 * 0.7)
-    assert triaged[2].final_score == 0.1
+    scores = make_scores([0.9, 0.3], [0.5, 0.7], [0.1], [0.8])
+    final, triggered = apply_triage(scores, POLICY)
+    assert triggered.tolist() == [False, True, False]
+    assert final[0] == 0.9
+    assert final[1] == pytest.approx(0.5 * 0.3 + 0.5 * 0.7)
+    assert final[2] == 0.1
 
 
 def test_apply_empty_band_never_triggers():
-    scored = make_scored([0.9, 0.3], [0.5, 0.7], [0.1], [0.8])
+    scores = make_scores([0.9, 0.3], [0.5, 0.7], [0.1], [0.8])
     policy = TriagePolicy(0.0, 0.0, FusionWeight(0.5))
-    triaged = apply_triage(scored, policy)
-    assert not any(t.triggered for t in triaged)
-    assert [t.final_score for t in triaged] == [t.td_score for t in triaged]
+    final, triggered = apply_triage(scores, policy)
+    assert not triggered.any()
+    assert final.tolist() == scores.td.tolist()
 
 
 def test_apply_full_band_always_triggers():
-    scored = make_scored([0.9, 0.3], [0.5, 0.7], [0.1], [0.8])
+    scores = make_scores([0.9, 0.3], [0.5, 0.7], [0.1], [0.8])
     policy = TriagePolicy(-1.0, 1.0, FusionWeight(0.3))
-    triaged = apply_triage(scored, policy)
-    assert all(t.triggered for t in triaged)
-    for t in triaged:
-        assert t.final_score == pytest.approx(0.3 * t.td_score + 0.7 * t.ti_score)
+    final, triggered = apply_triage(scores, policy)
+    assert triggered.all()
+    assert final == pytest.approx(0.3 * scores.td + 0.7 * scores.ti)
 
 
 def test_apply_requires_ti_only_when_triggered():
-    confident = [ScoredTrial(Trial("s0", (), "t0", True), 0.9, None)]
-    assert not apply_triage(confident, POLICY)[0].triggered
-    triggered = [ScoredTrial(Trial("s0", (), "t0", True), 0.4, None)]
-    with pytest.raises(ValidationError, match="no TI score"):
-        apply_triage(triggered, POLICY)
+    def td_only(td):
+        return ScoreTable(["s0"], ["t0"], np.array([True]), np.array([td]), None)
+
+    final, triggered = apply_triage(td_only(0.9), POLICY)
+    assert not triggered.any() and final.tolist() == [0.9]
+    with pytest.raises(ValidationError, match="t0 triggers but has no TI score"):
+        apply_triage(td_only(0.4), POLICY)
 
 
 def test_trigger_rate_prior_arithmetic():
-    scored = make_scored([0.4, 0.9], [0.5, 0.5], [0.3, 0.5, 0.1, 0.05, 0.7],
+    scores = make_scores([0.4, 0.9], [0.5, 0.5], [0.3, 0.5, 0.1, 0.05, 0.7],
                          [0.5] * 5)
-    triaged = apply_triage(scored, POLICY)
+    _, triggered = apply_triage(scores, POLICY)
     # target fraction 1/2, nontarget fraction 2/5
-    assert trigger_rate(triaged, 1.0) == pytest.approx(0.5)
-    assert trigger_rate(triaged, 0.0) == pytest.approx(0.4)
-    assert trigger_rate(triaged, 0.5) == pytest.approx(0.45)
+    assert trigger_rate(triggered, scores.labels, 1.0) == pytest.approx(0.5)
+    assert trigger_rate(triggered, scores.labels, 0.0) == pytest.approx(0.4)
+    assert trigger_rate(triggered, scores.labels, 0.5) == pytest.approx(0.45)
     # the quoted hand case: fractions (0.5, 0.2) at prior 0.4 -> 0.32
     assert 0.4 * 0.5 + (1 - 0.4) * 0.2 == pytest.approx(0.32)
 
 
 def test_trigger_rate_validates():
-    triaged = apply_triage(make_scored([0.4], [0.5], [], []), POLICY)
+    scores = make_scores([0.4], [0.5], [], [])
+    _, triggered = apply_triage(scores, POLICY)
     with pytest.raises(ValidationError):
-        trigger_rate(triaged, 0.5)  # no nontargets but prior < 1
-    assert trigger_rate(triaged, 1.0) == 1.0
+        trigger_rate(triggered, scores.labels, 0.5)  # no nontargets but prior < 1
+    assert trigger_rate(triggered, scores.labels, 1.0) == 1.0
     with pytest.raises(ValidationError):
-        trigger_rate(triaged, 1.5)
+        trigger_rate(triggered, scores.labels, 1.5)
 
 
 def test_expected_latency_hand_cases():
@@ -113,9 +110,9 @@ def test_expected_latency_hand_cases():
         expected_latency(0.5, CostModel(0.0, 3.0, 1, 1))
 
 
-def random_scored(seed, n=60):
+def random_scores(seed, n=60):
     rng = np.random.default_rng(seed)
-    return make_scored(
+    return make_scores(
         np.tanh(rng.standard_normal(n) * 0.3 + 0.5),
         np.tanh(rng.standard_normal(n) * 0.3 + 0.5),
         np.tanh(rng.standard_normal(n) * 0.3),
@@ -123,12 +120,10 @@ def random_scored(seed, n=60):
 
 
 def test_sweep_degenerate_cells_match_pure_systems():
-    scored = random_scored(0)
+    scores = random_scores(0)
     alpha = FusionWeight(0.5)
-    cells = {(c.lower, c.upper): c for c in sweep_bands(scored, -1.0, 1.0, 0.5, alpha)}
-    td = np.array([s.td_score for s in scored])
-    ti = np.array([s.ti_score for s in scored])
-    labels = np.array([s.trial.is_target for s in scored])
+    cells = {(c.lower, c.upper): c for c in sweep_bands(scores, -1.0, 1.0, 0.5, alpha)}
+    td, ti, labels = scores.td, scores.ti, scores.labels
     td_eer = compute_eer(td[labels], td[~labels]).eer
     fused = 0.5 * td + 0.5 * ti
     fused_eer = compute_eer(fused[labels], fused[~labels]).eer
@@ -142,8 +137,7 @@ def test_sweep_degenerate_cells_match_pure_systems():
 
 def test_sweep_nested_bands_have_monotone_rates():
     for seed in range(10):
-        scored = random_scored(seed)
-        cells = sweep_bands(scored, -1.0, 1.0, 0.25, FusionWeight(0.4))
+        cells = sweep_bands(random_scores(seed), -1.0, 1.0, 0.25, FusionWeight(0.4))
         by_band = {(round(c.lower, 6), round(c.upper, 6)): c.trigger_rate
                    for c in cells}
         for (lo1, up1), r1 in by_band.items():
@@ -153,59 +147,47 @@ def test_sweep_nested_bands_have_monotone_rates():
 
 
 def test_sweep_cell_count():
-    cells = sweep_bands(random_scored(1), -1.0, 1.0, 0.5, FusionWeight(0.5))
+    cells = sweep_bands(random_scores(1), -1.0, 1.0, 0.5, FusionWeight(0.5))
     assert len(cells) == 5 * 6 // 2  # pairs with lower <= upper on a 5-point grid
 
 
 def test_final_scores_match_manual_mixing(scored_trials):
-    triaged = apply_triage(scored_trials, POLICY)
-    for s, t in zip(scored_trials, triaged):
-        if POLICY.lower < s.td_score < POLICY.upper:
-            assert t.final_score == pytest.approx(0.5 * (s.td_score + s.ti_score))
+    final, _ = apply_triage(scored_trials, POLICY)
+    for got, td, ti in zip(final, scored_trials.td, scored_trials.ti):
+        if POLICY.lower < td < POLICY.upper:
+            assert got == pytest.approx(0.5 * (td + ti))
         else:
-            assert t.final_score == s.td_score
+            assert got == td
 
 
 def test_prior_curve_rates_interpolate():
-    scored = random_scored(2)
-    points = prior_sensitivity_curve(scored, -1.0, 1.0, 0.5, FusionWeight(0.5),
-                                     priors=[0.0, 0.5, 1.0])
+    cells = sweep_bands(random_scores(2), -1.0, 1.0, 0.5, FusionWeight(0.5))
+    points = prior_sensitivity_curve(cells, priors=[0.0, 0.5, 1.0])
+    assert len(points) == 3 * len(cells)
     by_key = {}
     for p in points:
         by_key.setdefault((p.lower, p.upper), {})[p.prior] = p
-    for band, d in by_key.items():
+    for cell in cells:
+        d = by_key[(cell.lower, cell.upper)]
         lo, mid, hi = d[0.0], d[0.5], d[1.0]
         assert mid.trigger_rate == pytest.approx(
             0.5 * (lo.trigger_rate + hi.trigger_rate), abs=1e-12)
-        assert lo.eer == mid.eer == hi.eer  # EER does not depend on the prior
+        assert mid.trigger_rate == cell.trigger_rate
+        assert lo.eer == mid.eer == hi.eer == cell.eer  # EER does not depend on the prior
 
 
 def test_prior_curve_validates_priors():
+    cells = sweep_bands(random_scores(3), -1.0, 1.0, 0.5, FusionWeight(0.5))
     with pytest.raises(ValidationError):
-        prior_sensitivity_curve(random_scored(3), -1.0, 1.0, 0.5,
-                                FusionWeight(0.5), priors=[1.5])
-
-
-def test_eer_envelope_bins():
-    points = [PriorPoint(0.5, -1, 1, 0.105, 0.2),
-              PriorPoint(0.5, -1, 1, 0.108, 0.4),
-              PriorPoint(0.5, -1, 1, 0.995, 0.1)]
-    env = eer_envelope(points, bin_width=0.01)
-    centers = sorted(env)
-    assert centers == [pytest.approx(0.105), pytest.approx(0.995)]
-    assert env[centers[0]] == (0.2, 0.4)
-    assert env[centers[1]] == (0.1, 0.1)
-    with pytest.raises(ValidationError):
-        eer_envelope(points, bin_width=0.0)
+        prior_sensitivity_curve(cells, priors=[1.5])
 
 
 def test_triage_beats_td_alone_on_trained_scores(scored_trials):
     sweep = sweep_fusion_weight(scored_trials, grid_step=0.01)
     alpha = FusionWeight(sweep.alpha_star)
     cells = sweep_bands(scored_trials, -1.0, 1.0, 0.1, alpha)
-    td = [s.td_score for s in scored_trials if s.trial.is_target]
-    non = [s.td_score for s in scored_trials if not s.trial.is_target]
-    base = compute_eer(td, non).eer
+    td, labels = scored_trials.td, scored_trials.labels
+    base = compute_eer(td[labels], td[~labels]).eer
     best = min(cells, key=lambda c: (c.eer, c.trigger_rate))
     assert best.eer <= base + 1e-12
     assert best.trigger_rate < 1.0
