@@ -6,9 +6,12 @@ back down to the recurrent dimension.  The embedding is the final linear
 transform of the last frame's top-layer projection output, L2-normalized.
 
 Parameters live in an ordered dict of float64 arrays with canonical names
-(layer{l}/w_i .. layer{l}/proj, out/weight, out/bias, ge2e/scale,
+(layer{l}/w, layer{l}/b, layer{l}/proj, out/weight, out/bias, ge2e/scale,
 ge2e/offset); initialization draws follow that order, so (spec, seed)
-fully determines a checkpoint.
+fully determines a checkpoint.  Gates are stored fused: `w` is (4c, in + p)
+and `b` is (4c), rows in i, f, o, c (candidate) order.  Input-to-gate
+products and the weight gradients each run as one GEMM over all T*B rows,
+outside the time loop.
 """
 
 from __future__ import annotations
@@ -18,9 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
-
-GATE_NAMES = ("i", "f", "o", "c")
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -71,11 +71,7 @@ class Parameters:
 def param_names(spec: NetworkSpec) -> list[str]:
     names = []
     for layer in range(spec.num_layers):
-        for g in GATE_NAMES:
-            names.append(f"layer{layer}/w_{g}")
-        for g in GATE_NAMES:
-            names.append(f"layer{layer}/b_{g}")
-        names.append(f"layer{layer}/proj")
+        names += [f"layer{layer}/w", f"layer{layer}/b", f"layer{layer}/proj"]
     names += ["out/weight", "out/bias", "ge2e/scale", "ge2e/offset"]
     return names
 
@@ -84,10 +80,8 @@ def param_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {}
     for layer in range(spec.num_layers):
         in_dim = spec.layer_input_dim(layer) + spec.projection_dim
-        for g in GATE_NAMES:
-            shapes[f"layer{layer}/w_{g}"] = (spec.cells, in_dim)
-        for g in GATE_NAMES:
-            shapes[f"layer{layer}/b_{g}"] = (spec.cells,)
+        shapes[f"layer{layer}/w"] = (4 * spec.cells, in_dim)
+        shapes[f"layer{layer}/b"] = (4 * spec.cells,)
         shapes[f"layer{layer}/proj"] = (spec.projection_dim, spec.cells)
     shapes["out/weight"] = (spec.output_dim, spec.projection_dim)
     shapes["out/bias"] = (spec.output_dim,)
@@ -97,24 +91,25 @@ def param_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
 
 
 def init_network(spec: NetworkSpec, seed: int) -> Parameters:
-    """Glorot-uniform weights, zero biases except forget gate (1.0),
-    similarity scale 10 and offset -5."""
+    """Glorot-uniform weights (per gate for `w`), zero biases except forget
+    gate (1.0), similarity scale 10 and offset -5."""
     spec.validate()
     rng = np.random.default_rng(seed)
+    c = spec.cells
     values: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(spec).items():
-        if name.endswith("/proj") or "/w_" in name or name == "out/weight":
-            fan_out, fan_in = shape
-            s = np.sqrt(6.0 / (fan_in + fan_out))
+        if name.endswith(("/w", "/proj")) or name == "out/weight":
+            fan_out = c if name.endswith("/w") else shape[0]
+            s = np.sqrt(6.0 / (shape[1] + fan_out))
             values[name] = rng.uniform(-s, s, size=shape)
-        elif "/b_f" in name:
-            values[name] = np.ones(shape)
         elif name == "ge2e/scale":
             values[name] = np.array(10.0)
         elif name == "ge2e/offset":
             values[name] = np.array(-5.0)
         else:
             values[name] = np.zeros(shape)
+            if name.endswith("/b"):
+                values[name][c:2 * c] = 1.0
     return Parameters(spec, values)
 
 
@@ -126,19 +121,50 @@ def global_norm(params: Parameters) -> float:
     return float(np.sqrt(sum(float(np.sum(v * v)) for v in params.values.values())))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Branch-free, overflow-free logistic 0.5 * (1 + tanh(z / 2)); `out` may be `z`."""
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
+
+
+def _lstmp_layer(params: Parameters, layer: int, x: np.ndarray, B: int,
+                 caches: list | None) -> np.ndarray:
+    """One LSTMP layer over x (T*B, in), row t*B + b; returns its outputs
+    (T*B, p) in that order and appends what backward needs to `caches`."""
+    c, p = params.spec.cells, params.spec.projection_dim
+    T, in_dim = x.shape[0] // B, x.shape[1]
+    W, P = params[f"layer{layer}/w"], params[f"layer{layer}/proj"]
+    Wh_T, P_T = np.ascontiguousarray(W[:, in_dim:].T), P.T  # row-major Wh_T: faster GEMV
+    # input half of every step at once; each step then turns its slice into
+    # the gate activations in place
+    gates = (x @ W[:, :in_dim].T).reshape(T, B, 4 * c)
+    gates += params[f"layer{layer}/b"]
+    cells, tanh_c = np.empty((2, T, B, c))
+    r = np.empty((T, B, p))
+    h, c_t = np.zeros((B, p)), np.zeros((B, c))
+    for t in range(T):
+        z = gates[t]
+        z += h @ Wh_T
+        _sigmoid(z[:, :3 * c], out=z[:, :3 * c])
+        np.tanh(z[:, 3 * c:], out=z[:, 3 * c:])
+        c_t = np.multiply(z[:, c:2 * c], c_t, out=cells[t])
+        c_t += z[:, :c] * z[:, 3 * c:]
+        np.tanh(c_t, out=tanh_c[t])
+        h = r[t]
+        np.tanh((z[:, 2 * c:3 * c] * tanh_c[t]) @ P_T, out=h)
+    if caches is not None:
+        caches.append({"x": x, "gates": gates, "c": cells, "tanh_c": tanh_c, "r": r})
+    return r.reshape(T * B, p)
 
 
 def forward_batch(params: Parameters, frames: np.ndarray, want_cache: bool = False):
     """Runs the network on a batch of equal-length sequences.
 
-    frames: (B, T, input_dim).  Returns (embeddings (B, output_dim), cache).
+    frames: (B, T, input_dim).  Returns (embeddings (B, output_dim), cache),
+    where the cache for backward_batch is None unless `want_cache`.
     """
     spec = params.spec
     X = np.asarray(frames, dtype=np.float64)
@@ -151,55 +177,19 @@ def forward_batch(params: Parameters, frames: np.ndarray, want_cache: bool = Fal
         raise NumericError("non-finite input frames")
 
     B, T, _ = X.shape
-    c, p = spec.cells, spec.projection_dim
-    seq = X.transpose(1, 0, 2)  # (T, B, in)
-    layer_caches = []
+    x = X.transpose(1, 0, 2).reshape(T * B, spec.input_dim)  # row t*B + b
+    layer_caches = [] if want_cache else None
     for layer in range(spec.num_layers):
-        in_dim = spec.layer_input_dim(layer)
-        W = np.concatenate([params[f"layer{layer}/w_{g}"] for g in GATE_NAMES], axis=0)
-        b = np.concatenate([params[f"layer{layer}/b_{g}"] for g in GATE_NAMES])
-        P = params[f"layer{layer}/proj"]
-        xcat = np.empty((T, B, in_dim + p))
-        gi = np.empty((T, B, c))
-        gf = np.empty((T, B, c))
-        go = np.empty((T, B, c))
-        gc = np.empty((T, B, c))
-        cs = np.empty((T, B, c))
-        tc = np.empty((T, B, c))
-        rs = np.empty((T, B, p))
-        h = np.zeros((B, p))
-        c_prev = np.zeros((B, c))
-        for t in range(T):
-            xc = np.concatenate([seq[t], h], axis=1)
-            z = xc @ W.T + b
-            i_t = _sigmoid(z[:, :c])
-            f_t = _sigmoid(z[:, c:2 * c])
-            o_t = _sigmoid(z[:, 2 * c:3 * c])
-            g_t = np.tanh(z[:, 3 * c:])
-            c_t = f_t * c_prev + i_t * g_t
-            tc_t = np.tanh(c_t)
-            r_t = np.tanh((o_t * tc_t) @ P.T)
-            xcat[t], gi[t], gf[t], go[t], gc[t] = xc, i_t, f_t, o_t, g_t
-            cs[t], tc[t], rs[t] = c_t, tc_t, r_t
-            h, c_prev = r_t, c_t
-        layer_caches.append({"xcat": xcat, "i": gi, "f": gf, "o": go, "g": gc,
-                             "c": cs, "tanh_c": tc, "r": rs, "W": W, "P": P,
-                             "in_dim": in_dim})
-        seq = rs
+        x = _lstmp_layer(params, layer, x, B, layer_caches)
 
-    r_last = seq[T - 1]  # (B, p)
-    y = r_last @ params["out/weight"].T + params["out/bias"]
+    y = x[-B:] @ params["out/weight"].T + params["out/bias"]  # from the last frame
     norms = np.linalg.norm(y, axis=1, keepdims=True)
     if not np.all(np.isfinite(y)):
         raise NumericError("non-finite pre-normalization embedding")
     if np.any(norms == 0.0):
         raise NumericError("zero-norm pre-normalization embedding")
     emb = y / norms
-    cache = None
-    if want_cache:
-        cache = {"layers": layer_caches, "r_last": r_last, "y": y,
-                 "norms": norms, "emb": emb, "T": T, "B": B}
-    return emb, cache
+    return emb, ({"layers": layer_caches, "norms": norms, "emb": emb} if want_cache else None)
 
 
 def forward_embedding(params: Parameters, frames: np.ndarray) -> np.ndarray:
@@ -208,66 +198,68 @@ def forward_embedding(params: Parameters, frames: np.ndarray) -> np.ndarray:
     return emb[0]
 
 
+def _lstmp_layer_backward(params: Parameters, layer: int, lc: dict, d_out: np.ndarray,
+                          grads: Parameters) -> np.ndarray | None:
+    """Backward through one layer from d_out (T, B, p): writes its w, b and
+    proj gradients into `grads`, returns d_input (None for layer 0)."""
+    (T, B, p), c = d_out.shape, params.spec.cells
+    x, gates, cells, tanh_c, r = lc["x"], lc["gates"], lc["c"], lc["tanh_c"], lc["r"]
+    in_dim = x.shape[1]
+    W, P = params[f"layer{layer}/w"], params[f"layer{layer}/proj"]
+    i, f, o, g = (gates[:, :, k * c:(k + 1) * c] for k in range(4))
+    # dZ, the gradient w.r.t. the gate pre-activations, starts as the factors
+    # that do not depend on the recurrence (g i', c_prev f', tanh(c) o', i g');
+    # the loop multiplies in dc (dm for o) step by step
+    dZ = 1.0 - gates
+    dZ *= gates  # s(1 - s), the slope of the i, f, o sigmoids
+    dZ[:, :, :c] *= g
+    dZ[1:, :, c:2 * c] *= cells[:-1]
+    dZ[0, :, c:2 * c] = 0.0
+    dZ[:, :, 2 * c:3 * c] *= tanh_c
+    np.multiply(i, 1.0 - g * g, out=dZ[:, :, 3 * c:])
+    dc_dm = o * (1.0 - tanh_c * tanh_c)
+    dr_da = 1.0 - r * r
+    dA = np.empty((T, B, p))  # gradient w.r.t. the projection pre-activation
+    dh, dc_next = np.zeros((B, p)), np.zeros((B, c))
+    for t in reversed(range(T)):
+        da = np.multiply(d_out[t] + dh, dr_da[t], out=dA[t])
+        dm = da @ P
+        dc = dm * dc_dm[t] + dc_next
+        dz = dZ[t]
+        dz[:, :c] *= dc
+        dz[:, c:2 * c] *= dc
+        dz[:, 2 * c:3 * c] *= dm
+        dz[:, 3 * c:] *= dc
+        dc_next = dc * f[t]
+        dh = dz @ W[:, in_dim:]
+    dZ = dZ.reshape(T * B, 4 * c)
+    dW = grads[f"layer{layer}/w"]
+    dW[:, :in_dim] = dZ.T @ x
+    # step t's recurrent input is step t-1's output (zero at t = 0)
+    dW[:, in_dim:] = dZ[B:].T @ r[:-1].reshape((T - 1) * B, p)
+    grads[f"layer{layer}/b"][:] = dZ.sum(axis=0)
+    m = (o * tanh_c).reshape(T * B, c)  # the projection's input
+    grads[f"layer{layer}/proj"][:] = dA.reshape(T * B, p).T @ m
+    return (dZ @ W[:, :in_dim]).reshape(T, B, in_dim) if layer > 0 else None
+
+
 def backward_batch(params: Parameters, cache: dict, d_emb: np.ndarray) -> Parameters:
     """Gradients of a scalar loss w.r.t. all network parameters, given the
     gradient w.r.t. the (normalized) embeddings.  ge2e scalars are left zero."""
     spec = params.spec
-    T = cache["T"]
+    top = cache["layers"][-1]["r"]  # top-layer outputs, (T, B, p)
     grads = zeros_like(params)
 
     emb, norms = cache["emb"], cache["norms"]
     inner = np.sum(emb * d_emb, axis=1, keepdims=True)
     dy = (d_emb - emb * inner) / norms
-    grads["out/weight"][:] = dy.T @ cache["r_last"]
+    grads["out/weight"][:] = dy.T @ top[-1]
     grads["out/bias"][:] = dy.sum(axis=0)
 
-    p = spec.projection_dim
-    B = cache["B"]
-    d_out = np.zeros((T, B, p))
-    d_out[T - 1] = dy @ params["out/weight"]
-
+    d_out = np.zeros_like(top)
+    d_out[-1] = dy @ params["out/weight"]
     for layer in reversed(range(spec.num_layers)):
-        lc = cache["layers"][layer]
-        in_dim = lc["in_dim"]
-        c = spec.cells
-        W, P = lc["W"], lc["P"]
-        dW = np.zeros_like(W)
-        db = np.zeros(4 * c)
-        dP = np.zeros_like(P)
-        d_input = np.zeros((T, B, in_dim))
-        dh = np.zeros((B, p))
-        dc_next = np.zeros((B, c))
-        for t in reversed(range(T)):
-            i_t, f_t, o_t, g_t = lc["i"][t], lc["f"][t], lc["o"][t], lc["g"][t]
-            tc_t, r_t = lc["tanh_c"][t], lc["r"][t]
-            dr = d_out[t] + dh
-            da = dr * (1.0 - r_t * r_t)
-            m_t = o_t * tc_t
-            dP += da.T @ m_t
-            dm = da @ P
-            do = dm * tc_t
-            dc = dm * o_t * (1.0 - tc_t * tc_t) + dc_next
-            c_prev = lc["c"][t - 1] if t > 0 else np.zeros((B, c))
-            df = dc * c_prev
-            dc_next = dc * f_t
-            di = dc * g_t
-            dg = dc * i_t
-            dz = np.concatenate([
-                di * i_t * (1.0 - i_t),
-                df * f_t * (1.0 - f_t),
-                do * o_t * (1.0 - o_t),
-                dg * (1.0 - g_t * g_t),
-            ], axis=1)
-            dW += dz.T @ lc["xcat"][t]
-            db += dz.sum(axis=0)
-            dxcat = dz @ W
-            d_input[t] = dxcat[:, :in_dim]
-            dh = dxcat[:, in_dim:]
-        for gi, g in enumerate(GATE_NAMES):
-            grads[f"layer{layer}/w_{g}"][:] = dW[gi * c:(gi + 1) * c]
-            grads[f"layer{layer}/b_{g}"][:] = db[gi * c:(gi + 1) * c]
-        grads[f"layer{layer}/proj"][:] = dP
-        d_out = d_input
+        d_out = _lstmp_layer_backward(params, layer, cache["layers"][layer], d_out, grads)
     return grads
 
 
@@ -302,7 +294,7 @@ def flops_per_utterance(spec: NetworkSpec, num_frames: int) -> int:
 
 # --- checkpoint persistence -------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _format_value(v: float) -> str:
@@ -325,34 +317,48 @@ def save_checkpoint(path: str, params: Parameters) -> None:
 
 
 def load_checkpoint(path: str) -> Parameters:
+    """Reads save_checkpoint's format; a malformed, truncated or
+    non-numeric line is a ValidationError naming path:line."""
     with open(path) as f:
         lines = f.read().splitlines()
-    if not lines or not lines[0].startswith("format "):
-        raise ValidationError(f"{path}: missing checkpoint format line")
-    version = int(lines[0].split()[1])
-    if version != CHECKPOINT_VERSION:
-        raise ValidationError(f"{path}: unsupported checkpoint format {version}")
-    if len(lines) < 2 or not lines[1].startswith("spec "):
-        raise ValidationError(f"{path}: missing spec line")
-    kv = dict(item.split("=") for item in lines[1].split()[1:])
-    spec = NetworkSpec(
-        input_dim=int(kv["input_dim"]), num_layers=int(kv["num_layers"]),
-        cells=int(kv["cells"]), projection_dim=int(kv["projection_dim"]),
-        output_dim=int(kv["output_dim"]))
+
+    def bad(lineno: int, what: str) -> ValidationError:
+        return ValidationError(f"{path}:{lineno}: {what}")
+
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "format":
+        raise bad(1, "missing checkpoint format line")
+    if head[1] != str(CHECKPOINT_VERSION):
+        raise bad(1, f"unsupported checkpoint format {head[1]}")
+    try:
+        fields = lines[1].split()
+        if fields[0] != "spec":
+            raise ValueError
+        spec = NetworkSpec(**{k: int(v) for k, v in (item.split("=") for item in fields[1:])})
+        spec.validate()
+    except (IndexError, ValueError, TypeError):
+        raise bad(2, "missing or malformed spec line") from None
+    except ValidationError as e:
+        raise bad(2, str(e)) from None
     shapes = param_shapes(spec)
     values: dict[str, np.ndarray] = {}
-    pos = 2
+    pos = 2  # index of the next block header
     for name in param_names(spec):
-        if pos >= len(lines):
-            raise ValidationError(f"{path}: truncated before block {name}")
-        parts = lines[pos].split()
-        if len(parts) != 3 or parts[0] != name:
-            raise ValidationError(f"{path}: expected block header for {name} at line {pos + 1}")
-        rows, cols = int(parts[1]), int(parts[2])
-        pos += 1
-        data = np.array([[float(v) for v in lines[pos + r].split()] for r in range(rows)])
-        pos += rows
-        if data.shape != (rows, cols):
-            raise ValidationError(f"{path}: block {name} has inconsistent shape")
-        values[name] = data.reshape(shapes[name])
+        rows, cols = ((1, 1) + shapes[name])[-2:]  # save_checkpoint's atleast_2d
+        header = f"{name} {rows} {cols}"
+        if pos >= len(lines) or lines[pos].split() != header.split():
+            raise bad(pos + 1, f"expected block header '{header}'")
+        if pos + rows >= len(lines):
+            raise bad(len(lines), f"block {name} truncated: {len(lines) - pos - 1} of {rows} rows")
+        block = []
+        for lineno in range(pos + 2, pos + rows + 2):
+            try:
+                row = np.array(lines[lineno - 1].split(), dtype=np.float64)
+            except ValueError:
+                raise bad(lineno, f"non-numeric value in block {name}") from None
+            if row.shape != (cols,) or not np.all(np.isfinite(row)):
+                raise bad(lineno, f"block {name} needs {cols} finite numbers per row")
+            block.append(row)
+        values[name] = np.array(block).reshape(shapes[name])
+        pos += rows + 1
     return Parameters(spec, values)

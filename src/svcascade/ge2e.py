@@ -117,19 +117,10 @@ def ge2e_loss(similarities: np.ndarray, kind: str, labels: np.ndarray | None = N
         mx = S.max(axis=2)
         lse = mx + np.log(np.sum(np.exp(S - mx[:, :, None]), axis=2))
         return float(np.sum(lse - pos))
-    sig = _sigmoid(S)
+    sig = dvector._sigmoid(S)
     masked = sig.copy()
     masked[np.arange(n), :, labels] = -np.inf
-    return float(np.sum(1.0 - _sigmoid(pos) + masked.max(axis=2)))
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return float(np.sum(1.0 - dvector._sigmoid(pos) + masked.max(axis=2)))
 
 
 def _loss_and_embedding_grads(embeddings: np.ndarray, w: float, b: float, kind: str):
@@ -152,7 +143,7 @@ def _loss_and_embedding_grads(embeddings: np.ndarray, w: float, b: float, kind: 
         dS = soft.copy()
         dS[diag, :, diag] -= 1.0
     elif kind == CONTRAST:
-        sig = _sigmoid(S)
+        sig = dvector._sigmoid(S)
         pos_sig = sig[diag, :, diag]
         masked = sig.copy()
         masked[diag, :, diag] = -np.inf

@@ -8,6 +8,7 @@ rather than a silent fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +124,8 @@ def save_scores(path: str, scores: ScoreTable) -> None:
 
 
 def load_scores(path: str) -> ScoreTable:
-    """Reads save_scores' TSV; the TI column must be NA on every line or on
-    none."""
+    """Reads save_scores' TSV; scores must be finite, and the TI column
+    must be NA on every line or on none."""
     speakers, utterances, labels, td, ti = [], [], [], [], []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -143,6 +144,8 @@ def load_scores(path: str) -> ScoreTable:
             if len(ti) not in (0, len(td)):
                 raise ValidationError(
                     f"{path}:{lineno}: TI score must be NA on every line or on none")
+            if not (math.isfinite(td[-1]) and (not ti or math.isfinite(ti[-1]))):
+                raise ValidationError(f"{path}:{lineno}: non-finite score")
             speakers.append(parts[0])
             utterances.append(parts[1])
             labels.append(parts[2] == "tgt")

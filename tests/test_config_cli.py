@@ -135,6 +135,8 @@ GOOD_ARTIFACTS = {
                  "eval", "scores.tsv:2", id="scores-non-numeric"),
     pytest.param("scores/scores.tsv", "s0\tu0\ttgt\t0.9\t0.8\ns0\tu1\tnon\t0.1\tNA\n",
                  "eval", "scores.tsv:2", id="scores-partial-na"),
+    pytest.param("scores/scores.tsv", "s0\tu0\ttgt\tnan\t0.8\ns0\tu1\tnon\t0.1\t0.2\n",
+                 "eval", "scores.tsv:1", id="scores-non-finite"),
     pytest.param("reports/fusion_sweep.csv", "alpha,eer\n0.0,0.1\n1.0\n",
                  "triage-sweep", "fusion_sweep.csv:3", id="sweep-short-row"),
     pytest.param("reports/fusion_sweep.csv", "alpha,eer\n0.0,abc\n",

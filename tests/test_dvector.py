@@ -52,13 +52,16 @@ def test_init_deterministic():
 
 def test_init_forget_bias_and_bounds():
     params = init_network(TD_SMALL, seed=1)
+    c = TD_SMALL.cells
     for layer in range(TD_SMALL.num_layers):
-        assert np.all(params[f"layer{layer}/b_f"] == 1.0)
-        assert np.all(params[f"layer{layer}/b_i"] == 0.0)
+        b = params[f"layer{layer}/b"]
+        assert np.all(b[c:2 * c] == 1.0)
+        assert np.all(b[:c] == 0.0)
         in_dim = TD_SMALL.layer_input_dim(layer) + TD_SMALL.projection_dim
         bound = np.sqrt(6.0 / (in_dim + TD_SMALL.cells))
-        for gate in "ifoc":
-            assert np.max(np.abs(params[f"layer{layer}/w_{gate}"])) <= bound
+        w = params[f"layer{layer}/w"]
+        for gate in range(4):
+            assert np.max(np.abs(w[gate * c:(gate + 1) * c])) <= bound
     assert float(params["ge2e/scale"]) == 10.0
     assert float(params["ge2e/offset"]) == -5.0
 
@@ -76,6 +79,18 @@ def test_embedding_is_unit_norm_and_deterministic():
     b = forward_embedding(params, frames)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-6)
     assert np.array_equal(a, b)
+
+
+def test_batch_rows_match_single_sequences():
+    params = init_network(TI_SMALL, seed=7)
+    frames = np.random.default_rng(8).standard_normal((4, 9, 16))
+    emb, cache = dvector.forward_batch(params, frames)
+    assert cache is None
+    for row in range(4):
+        assert np.allclose(emb[row], forward_embedding(params, frames[row]), rtol=0, atol=1e-12)
+    cached, cache = dvector.forward_batch(params, frames, want_cache=True)
+    assert np.array_equal(cached, emb)
+    assert len(cache["layers"]) == TI_SMALL.num_layers
 
 
 def test_truncation_changes_embedding(small_corpus, trained_models):
@@ -122,4 +137,38 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_text("not a checkpoint\n")
     with pytest.raises(ValidationError):
+        load_checkpoint(str(path))
+
+
+@pytest.fixture
+def checkpoint_text(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), init_network(TD_SMALL, seed=6))
+    return path, path.read_text()
+
+
+@pytest.mark.parametrize("fraction", [0.0005, 0.01, 0.3, 0.5, 0.97])
+def test_checkpoint_truncation_names_line(checkpoint_text, fraction):
+    path, text = checkpoint_text
+    path.write_text(text[:int(len(text) * fraction)])
+    with pytest.raises(ValidationError, match=r"m\.ckpt:\d+: "):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("prefix, edit", [
+    pytest.param("format", lambda line: "format 1", id="old-version"),
+    pytest.param("spec", lambda line: line.replace("cells=16", "cells=x"), id="spec"),
+    pytest.param("layer0/proj", lambda line: "layer0/proj 8 15", id="header-count"),
+    pytest.param("layer1/b", lambda line: "layer1/b 1", id="header-short"),
+    pytest.param("-", lambda line: "0.1x" + line[line.index(" "):], id="non-numeric"),
+    pytest.param("-", lambda line: "nan" + line[line.index(" "):], id="non-finite"),
+    pytest.param("-", lambda line: line[:line.rindex(" ")], id="short-row"),
+])
+def test_checkpoint_corruption_names_line(checkpoint_text, prefix, edit):
+    path, text = checkpoint_text
+    lines = text.splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[index] = edit(lines[index])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=rf"m\.ckpt:{index + 1}: "):
         load_checkpoint(str(path))
