@@ -93,9 +93,8 @@ def cmd_fuse_sweep(cfg: ExperimentConfig) -> None:
 
 
 def _resolve_alpha(cfg: ExperimentConfig) -> FusionWeight:
-    fixed = cfg.fixed_alpha()
-    if fixed is not None:
-        return fixed
+    if cfg.fixed_alpha is not None:
+        return cfg.fixed_alpha
     sweep_path = os.path.join(cfg.report_dir, "fusion_sweep.csv")
     if not os.path.exists(sweep_path):
         raise DependencyError(

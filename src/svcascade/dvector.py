@@ -361,4 +361,7 @@ def load_checkpoint(path: str) -> Parameters:
             block.append(row)
         values[name] = np.array(block).reshape(shapes[name])
         pos += rows + 1
+    for lineno in range(pos + 1, len(lines) + 1):
+        if lines[lineno - 1].strip():
+            raise bad(lineno, "unexpected data after the last block")
     return Parameters(spec, values)

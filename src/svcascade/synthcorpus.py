@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -249,13 +249,16 @@ def write_feature_file(path: str, frames: np.ndarray) -> None:
 
 
 def read_feature_file(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        header = f.read(8)
-        if len(header) != 8:
-            raise ValidationError(f"truncated feature file {path}")
-        rows, cols = struct.unpack("<ii", header)
-        data = np.frombuffer(f.read(), dtype="<f4")
-    if data.size != rows * cols:
+    try:
+        with open(path, "rb") as f:
+            header = f.read(8)
+            data = np.frombuffer(f.read(), dtype="<f4")
+    except OSError as exc:
+        raise ValidationError(f"cannot read feature file {path}: {exc.strerror}") from None
+    if len(header) != 8:
+        raise ValidationError(f"truncated feature file {path}")
+    rows, cols = struct.unpack("<ii", header)
+    if rows < 0 or cols < 0 or data.size != rows * cols:
         raise ValidationError(f"feature file {path}: expected {rows * cols} values, got {data.size}")
     return data.reshape(rows, cols).astype(np.float32)
 
@@ -278,39 +281,46 @@ def save_corpus(corpus: Corpus, directory: str) -> None:
     for lang in sorted(spec.utterance_overrides):
         lines.append(f"override_{lang}={spec.utterance_overrides[lang]}")
     lines.append(f"num_utterances={len(corpus.utterances)}")
-    with open(os.path.join(directory, "corpus.meta"), "w") as f:
-        f.write("\n".join(lines) + "\n")
     for u in corpus.utterances:
         write_feature_file(os.path.join(directory, f"{u.utterance_id}.kw.feat"), u.keyword)
         write_feature_file(os.path.join(directory, f"{u.utterance_id}.q.feat"), u.query)
+    # written last: a corpus cut short by an interrupted run has no corpus.meta
+    with open(os.path.join(directory, "corpus.meta"), "w") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def load_corpus(directory: str) -> Corpus:
     meta_path = os.path.join(directory, "corpus.meta")
     if not os.path.exists(meta_path):
         raise ValidationError(f"no corpus.meta in {directory}")
-    kv: dict[str, str] = {}
+    types = {f.name: type(f.default) for f in fields(CorpusSpec) if f.name != "utterance_overrides"}
+    values, overrides = {}, {}
     with open(meta_path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                kv[key] = value
-    overrides = {int(k[len("override_"):]): int(v)
-                 for k, v in kv.items() if k.startswith("override_")}
-    spec = CorpusSpec(
-        languages=int(kv["languages"]),
-        speakers_per_language=int(kv["speakers_per_language"]),
-        utterances_per_speaker=int(kv["utterances_per_speaker"]),
-        keyword_frames=int(kv["keyword_frames"]),
-        query_frames=int(kv["query_frames"]),
-        feature_dim=int(kv["feature_dim"]),
-        language_shift_scale=float(kv["language_shift_scale"]),
-        speaker_scale=float(kv["speaker_scale"]),
-        utterance_noise_scale=float(kv["utterance_noise_scale"]),
-        seed=int(kv["seed"]),
-        utterance_overrides=overrides,
-    )
+        for lineno, line in enumerate(f, 1):
+            key, _, text = line.strip().partition("=")
+            try:
+                if key.startswith("override_"):
+                    overrides[int(key[len("override_"):])] = int(text)
+                elif key in types:
+                    values[key] = types[key](text)
+            except ValueError:
+                raise ValidationError(f"{meta_path}:{lineno}: bad line {line.strip()!r}") from None
+    missing = [key for key in types if key not in values]
+    if missing:
+        raise ValidationError(f"{meta_path}: missing {', '.join(missing)}")
+    spec = CorpusSpec(**values, utterance_overrides=overrides)
+    try:
+        spec.validate()
+    except ValidationError as exc:
+        raise ValidationError(f"{meta_path}: {exc}") from None
+
+    def features(uid: str, kind: str, frames: int) -> np.ndarray:
+        path = os.path.join(directory, f"{uid}.{kind}.feat")
+        arr = read_feature_file(path)
+        if arr.shape != (frames, spec.feature_dim):
+            raise ValidationError(f"feature file {path}: shape {arr.shape} does not match corpus.meta")
+        return arr
+
     utterances = []
     for lang in range(spec.languages):
         for spk in range(spec.speakers_per_language):
@@ -320,8 +330,8 @@ def load_corpus(directory: str) -> Corpus:
                     utterance_id=uid,
                     speaker_id=speaker_id(lang, spk),
                     language_id=lang,
-                    keyword=read_feature_file(os.path.join(directory, f"{uid}.kw.feat")),
-                    query=read_feature_file(os.path.join(directory, f"{uid}.q.feat")),
+                    keyword=features(uid, "kw", spec.keyword_frames),
+                    query=features(uid, "q", spec.query_frames),
                 ))
     return Corpus(spec=spec, utterances=utterances)
 

@@ -46,12 +46,19 @@ def test_defaults_from_empty_file(tmp_path):
     assert cfg.td_network.cells == 16 and cfg.ti_network.cells == 32
     assert cfg.td_train.seed == 1 and cfg.ti_train.seed == 2
     assert cfg.triage_lower == 0.23 and cfg.triage_upper == 0.65
-    assert cfg.triage_alpha == "sweep" and cfg.fixed_alpha() is None
+    assert cfg.fixed_alpha is None
     assert cfg.priors == [0.0, 0.5, 1.0]
     assert cfg.keyword_seconds == 0.7 and cfg.query_seconds == 3.0
     # the defaults form a valid triage policy once an alpha is known
     TriagePolicy(cfg.triage_lower, cfg.triage_upper,
                  cli.FusionWeight(0.5)).validate()
+
+
+def test_desk_cfg_spells_out_the_defaults(tmp_path):
+    path = tmp_path / "empty.cfg"
+    path.write_text("")
+    desk = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.cfg")
+    assert parse_config(desk) == parse_config(str(path))
 
 
 def test_seed_override_shifts_all_seeds(tmp_path):
@@ -67,7 +74,7 @@ def test_seed_override_shifts_all_seeds(tmp_path):
 def test_fixed_alpha_parsed(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("triage.alpha = 0.3\n")
-    assert parse_config(str(path)).fixed_alpha().alpha == 0.3
+    assert parse_config(str(path)).fixed_alpha.alpha == 0.3
     path.write_text("triage.alpha = nonsense\n")
     with pytest.raises(ValidationError, match="triage.alpha"):
         parse_config(str(path))
@@ -108,6 +115,28 @@ def test_cost_durations_must_be_positive(tmp_path):
         path.write_text(text)
         with pytest.raises(ValidationError, match=key):
             parse_config(str(path))
+
+
+@pytest.mark.parametrize("key, value, seed, named", [
+    pytest.param("corpus.seed", "-1", None, "corpus.seed", id="corpus-seed"),
+    pytest.param("trials.seed", "-200", None, "trials.seed", id="trials-seed"),
+    pytest.param(None, None, -5, "--seed", id="seed-flag"),
+    pytest.param("paths.corpus_dir", "", None, "paths.corpus_dir", id="empty-path"),
+    pytest.param("triage.band_min", "nan", None, "triage.band_min", id="band-nan"),
+    pytest.param("triage.lower", "-2", None, "triage.lower", id="band-below-minus-one"),
+    pytest.param("train.td.language_weights", "9:1", None, "train.td.language_weights",
+                 id="weight-language-range"),
+    pytest.param("train.td.language_weights", "0:nan,1:1", None,
+                 "train.td.language_weights", id="weight-nan"),
+    pytest.param("cost.keyword_seconds", "inf", None, "cost.keyword_seconds", id="cost-inf"),
+])
+def test_rejected_at_parse_time(tmp_path, capsys, key, value, seed, named):
+    overrides = {} if key is None else {key: value}
+    cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path), **overrides)
+    assert cli.run("gen-data", str(cfg_path), seed) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_missing_config_file():

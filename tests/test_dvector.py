@@ -163,11 +163,15 @@ def test_checkpoint_truncation_names_line(checkpoint_text, fraction):
     pytest.param("-", lambda line: "0.1x" + line[line.index(" "):], id="non-numeric"),
     pytest.param("-", lambda line: "nan" + line[line.index(" "):], id="non-finite"),
     pytest.param("-", lambda line: line[:line.rindex(" ")], id="short-row"),
+    pytest.param(None, lambda line: "layer9/w 1 1", id="trailing-header"),
+    pytest.param(None, lambda line: "0.5", id="trailing-number"),
+    pytest.param(None, lambda line: "garbage", id="trailing-text"),
 ])
 def test_checkpoint_corruption_names_line(checkpoint_text, prefix, edit):
     path, text = checkpoint_text
-    lines = text.splitlines()
-    index = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines = text.splitlines() + [""]  # a blank line after the last block is allowed
+    index = (len(lines) - 1 if prefix is None  # None edits that blank line
+             else next(i for i, line in enumerate(lines) if line.startswith(prefix)))
     lines[index] = edit(lines[index])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match=rf"m\.ckpt:{index + 1}: "):

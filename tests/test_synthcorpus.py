@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from svcascade import synthcorpus
 from svcascade.errors import CapacityError, ValidationError
 from svcascade.synthcorpus import (
     Corpus, CorpusSpec, TrialList, generate_corpus, load_corpus, load_trials,
@@ -124,6 +125,49 @@ def test_corpus_roundtrip_bytes(tmp_path):
         assert a.utterance_id == b.utterance_id
         assert np.array_equal(a.keyword, b.keyword)
         assert np.array_equal(a.query, b.query)
+
+
+def _edit_meta(old, new):
+    def edit(d):
+        meta = d / "corpus.meta"
+        meta.write_text(meta.read_text().replace(old, new))
+    return edit
+
+
+@pytest.mark.parametrize("edit, where", [
+    pytest.param(lambda d: (d / "corpus.meta").write_text(""), r"corpus\.meta: missing languages",
+                 id="meta-empty"),
+    pytest.param(_edit_meta("seed=7\n", ""), r"corpus\.meta: missing seed", id="meta-field-missing"),
+    pytest.param(_edit_meta("languages=2", "languages=two"), r"corpus\.meta:1: ",
+                 id="meta-non-numeric"),
+    pytest.param(_edit_meta("feature_dim=6", "feature_dim=0"), r"corpus\.meta: .*feature_dim",
+                 id="meta-invalid-spec"),
+    pytest.param(lambda d: (d / "l0s0u0.kw.feat").unlink(), r"l0s0u0\.kw\.feat", id="feat-missing"),
+    pytest.param(lambda d: (d / "l0s0u1.q.feat").write_bytes(b"\0\0"), r"l0s0u1\.q\.feat",
+                 id="feat-truncated"),
+    pytest.param(lambda d: write_feature_file(str(d / "l1s2u3.kw.feat"), np.zeros((3, 6))),
+                 r"l1s2u3\.kw\.feat: shape", id="feat-shape"),
+])
+def test_corrupt_corpus_names_path(tmp_path, edit, where):
+    save_corpus(generate_corpus(small_spec()), str(tmp_path))
+    edit(tmp_path)
+    with pytest.raises(ValidationError, match=where):
+        load_corpus(str(tmp_path))
+
+
+def test_interrupted_save_leaves_no_meta(tmp_path, monkeypatch):
+    written = []
+
+    def write_then_stop(path, frames):
+        if len(written) == 5:
+            raise KeyboardInterrupt
+        written.append(path)
+        write_feature_file(path, frames)
+
+    monkeypatch.setattr(synthcorpus, "write_feature_file", write_then_stop)
+    with pytest.raises(KeyboardInterrupt):
+        save_corpus(generate_corpus(small_spec()), str(tmp_path))
+    assert len(written) == 5 and not (tmp_path / "corpus.meta").exists()
 
 
 def test_feature_file_format(tmp_path):
