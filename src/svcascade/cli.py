@@ -74,7 +74,7 @@ def cmd_train(cfg: ExperimentConfig) -> None:
 
 def cmd_score(cfg: ExperimentConfig) -> None:
     corpus = _load_corpus(cfg)
-    trials = synthcorpus.load_trials(_require(_trials_path(cfg), "gen-data"))
+    trials = synthcorpus.load_trials(_require(_trials_path(cfg), "gen-data"), corpus)
     td_params = dvector.load_checkpoint(_require(_ckpt_path(cfg, "td"), "train"))
     ti_params = dvector.load_checkpoint(_require(_ckpt_path(cfg, "ti"), "train"))
     os.makedirs(cfg.score_dir, exist_ok=True)
@@ -144,6 +144,8 @@ def cmd_xeval(cfg: ExperimentConfig) -> None:
     """Trains monolingual TD/TI models per language and writes the full
     cross-language EER matrix."""
     corpus = _load_corpus(cfg)
+    eval_sets = [(lang, corpus, synthcorpus.load_trials(
+        _require(_trials_path(cfg, lang), "gen-data"), corpus)) for lang in cfg.xeval_languages]
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)
     os.makedirs(cfg.report_dir, exist_ok=True)
     models = []
@@ -159,10 +161,6 @@ def cmd_xeval(cfg: ExperimentConfig) -> None:
         dvector.save_checkpoint(td_path, td_params)
         dvector.save_checkpoint(ti_path, ti_params)
         models.append((f"mono{lang}", lang, td_params, ti_params))
-    eval_sets = []
-    for lang in cfg.xeval_languages:
-        trials = synthcorpus.load_trials(_require(_trials_path(cfg, lang), "gen-data"))
-        eval_sets.append((lang, corpus, trials))
     cells = metrics.cross_eval_matrix(models, eval_sets, scoring.score_trials)
     metrics.save_matrix_csv(os.path.join(cfg.report_dir, "xeval_matrix.csv"), cells)
 
@@ -174,10 +172,9 @@ def cmd_report(cfg: ExperimentConfig) -> None:
     best = triage.load_heatmap_csv(
         _require(os.path.join(cfg.report_dir, "heatmap.csv"), "triage-sweep"))
 
-    scores.check_fusable("report")
-    labels = scores.labels
-    td_eer = metrics.compute_eer(scores.td[labels], scores.td[~labels]).eer
-    ti_eer = metrics.compute_eer(scores.ti[labels], scores.ti[~labels]).eer
+    n_tar, td, ti = scores.fusable("report")
+    td_eer = metrics.compute_eer(td[:n_tar], td[n_tar:]).eer
+    ti_eer = metrics.compute_eer(ti[:n_tar], ti[n_tar:]).eer
 
     kw = cfg.corpus_spec.keyword_frames
     total = kw + cfg.corpus_spec.query_frames

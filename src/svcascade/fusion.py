@@ -42,16 +42,12 @@ def alpha_grid(grid_step: float) -> list[float]:
 def sweep_fusion_weight(scores: ScoreTable, grid_step: float = 0.01) -> FusionSweepResult:
     """EER at each alpha on the grid (endpoints always included); the
     minimizing alpha wins, smallest alpha on ties."""
-    scores.check_fusable("fusion sweep")
-    td, ti, labels = scores.td, scores.ti, scores.labels
+    n_tar, td, ti = scores.fusable("fusion sweep")
     table = []
-    best_alpha, best_eer = None, None
     for alpha in alpha_grid(grid_step):
         fused = alpha * td + (1.0 - alpha) * ti
-        eer = compute_eer(fused[labels], fused[~labels]).eer
-        table.append((alpha, eer))
-        if best_eer is None or eer < best_eer:
-            best_alpha, best_eer = alpha, eer
+        table.append((alpha, compute_eer(fused[:n_tar], fused[n_tar:]).eer))
+    best_alpha, best_eer = min(table, key=lambda ae: (ae[1], ae[0]))
     return FusionSweepResult(alpha_star=best_alpha, eer_at_alpha_star=best_eer, table=table)
 
 

@@ -3,15 +3,18 @@ evaluation matrix report.
 
 Conventions, fixed and documented: a trial is accepted when score >= threshold
 (so FAR(t) counts nontargets >= t and FRR(t) counts targets < t), candidate
-thresholds are the sorted distinct scores plus one value beyond each end, and
-the EER is linearly interpolated between the two adjacent operating points
-where FAR - FRR changes sign.  EER is a fraction in [0, 1] internally;
-reports convert to percent.
+thresholds are the sorted distinct scores plus one beyond the top, and the EER
+is linearly interpolated between the two adjacent candidates where FAR - FRR
+changes sign.  FAR - FRR does not increase with t, so no curve is built: each
+class is sorted once, and bisection finds the first candidate with
+FAR - FRR <= 0 among the targets, then among the nontargets below it.
+EER is a fraction in [0, 1] internally; reports convert to percent.
 """
 
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,40 +30,38 @@ class EvalResult:
     num_nontargets: int
 
 
-def _check_scores(target_scores, nontarget_scores):
-    tar = np.asarray(target_scores, dtype=np.float64)
-    non = np.asarray(nontarget_scores, dtype=np.float64)
+def _far_frr(tar: np.ndarray, non: np.ndarray, t):
+    """(FAR, FRR) at threshold t, for sorted target and nontarget scores."""
+    return (non.size - non.searchsorted(t)) / non.size, tar.searchsorted(t) / tar.size
+
+
+def compute_eer(target_scores, nontarget_scores) -> EvalResult:
+    tar = np.sort(np.asarray(target_scores, dtype=np.float64))
+    non = np.sort(np.asarray(nontarget_scores, dtype=np.float64))
     if tar.size == 0 or non.size == 0:
         raise ValidationError("need at least one target and one nontarget score")
     if not (np.all(np.isfinite(tar)) and np.all(np.isfinite(non))):
         raise ValidationError("scores must be finite")
-    return tar, non
 
+    def crossed(t) -> bool:
+        far, frr = _far_frr(tar, non, t)
+        return far - frr <= 0.0
 
-def _operating_points(tar: np.ndarray, non: np.ndarray):
-    """FAR/FRR at the candidate thresholds (distinct scores plus one beyond
-    each end)."""
-    distinct = np.unique(np.concatenate([tar, non]))
-    thresholds = np.concatenate([[distinct[0] - 1.0], distinct, [distinct[-1] + 1.0]])
-    tar_sorted = np.sort(tar)
-    non_sorted = np.sort(non)
-    frr = np.searchsorted(tar_sorted, thresholds, side="left") / tar.size
-    far = (non.size - np.searchsorted(non_sorted, thresholds, side="left")) / non.size
-    return thresholds, far, frr
-
-
-def compute_eer(target_scores, nontarget_scores) -> EvalResult:
-    tar, non = _check_scores(target_scores, nontarget_scores)
-    thresholds, far, frr = _operating_points(tar, non)
-    diff = far - frr  # nonincreasing, from +1 to -1
-    idx = int(np.argmax(diff <= 0.0))
-    if diff[idx] == 0.0:
-        eer = float(far[idx])
-        threshold = float(thresholds[idx])
+    i = bisect_left(tar, True, key=crossed)
+    # only nontargets between tar[i - 1] (not crossed) and tar[i] can cross first
+    lo = non.searchsorted(tar[i - 1], side="right") if i > 0 else 0
+    hi = non.searchsorted(tar[i]) if i < tar.size else non.size
+    j = bisect_left(non, True, lo, hi, key=crossed)
+    t = non[j] if j < hi else tar[i] if i < tar.size else max(tar[-1], non[-1]) + 1.0
+    prev = max(s[k - 1] for s in (tar, non) if (k := s.searchsorted(t)) > 0)
+    (far, frr), (far_prev, frr_prev) = _far_frr(tar, non, t), _far_frr(tar, non, prev)
+    diff, diff_prev = far - frr, far_prev - frr_prev
+    if diff == 0.0:
+        eer, threshold = float(far), float(t)
     else:
-        lam = diff[idx - 1] / (diff[idx - 1] - diff[idx])
-        eer = float(frr[idx - 1] + lam * (frr[idx] - frr[idx - 1]))
-        threshold = float(thresholds[idx - 1] + lam * (thresholds[idx] - thresholds[idx - 1]))
+        lam = diff_prev / (diff_prev - diff)
+        eer = float(frr_prev + lam * (frr - frr_prev))
+        threshold = float(prev + lam * (t - prev))
     return EvalResult(eer=eer, eer_threshold=threshold,
                       num_targets=int(tar.size), num_nontargets=int(non.size))
 

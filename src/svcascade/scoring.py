@@ -30,11 +30,14 @@ class ScoreTable:
     td: np.ndarray
     ti: np.ndarray | None = None
 
-    def check_fusable(self, what: str) -> None:
+    def fusable(self, what: str) -> tuple[int, np.ndarray, np.ndarray]:
+        """(target count, td, ti), target rows first: each class is a slice."""
         if self.ti is None:
             raise ValidationError(f"{what} needs a TI score on every trial")
         if not self.labels.any() or self.labels.all():
             raise ValidationError(f"{what} needs both target and nontarget trials")
+        order = np.argsort(~self.labels, kind="stable")
+        return int(self.labels.sum()), self.td[order], self.ti[order]
 
 
 def _check_unit(vec: np.ndarray, what: str) -> np.ndarray:

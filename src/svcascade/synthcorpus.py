@@ -344,7 +344,7 @@ def save_trials(trials: TrialList, path: str) -> None:
                     f"{t.test_utterance_id}\t{label}\n")
 
 
-def load_trials(path: str) -> TrialList:
+def load_trials(path: str, corpus: Corpus) -> TrialList:
     trials = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -354,5 +354,9 @@ def load_trials(path: str) -> TrialList:
             parts = line.split("\t")
             if len(parts) != 4 or parts[3] not in ("tgt", "non"):
                 raise ValidationError(f"{path}:{lineno}: malformed trial line")
-            trials.append(Trial(parts[0], tuple(parts[1].split(",")), parts[2], parts[3] == "tgt"))
+            trial = Trial(parts[0], tuple(parts[1].split(",")), parts[2], parts[3] == "tgt")
+            for uid in (*trial.enroll_utterance_ids, trial.test_utterance_id):
+                if uid not in corpus._by_id:
+                    raise ValidationError(f"{path}:{lineno}: unknown utterance id {uid!r}")
+            trials.append(trial)
     return TrialList(trials)

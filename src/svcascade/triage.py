@@ -152,18 +152,17 @@ def sweep_bands(scores: ScoreTable, grid_min: float, grid_max: float,
     the triaged final-score axis and the per-class trigger rates."""
     alpha.validate()
     values = band_grid(grid_min, grid_max, step)
-    scores.check_fusable("band sweep")
-    td, labels = scores.td, scores.labels
-    fused = alpha.alpha * td + (1.0 - alpha.alpha) * scores.ti
+    n_tar, td, ti = scores.fusable("band sweep")
+    fused = alpha.alpha * td + (1.0 - alpha.alpha) * ti
     cells = []
     for i, lower in enumerate(values):
         for upper in values[i:]:
             triggered = in_band(td, lower, upper)
             final = np.where(triggered, fused, td)
             cells.append(BandCell(lower=float(lower), upper=float(upper),
-                                  eer=compute_eer(final[labels], final[~labels]).eer,
-                                  target_rate=float(triggered[labels].mean()),
-                                  nontarget_rate=float(triggered[~labels].mean())))
+                                  eer=compute_eer(final[:n_tar], final[n_tar:]).eer,
+                                  target_rate=float(triggered[:n_tar].mean()),
+                                  nontarget_rate=float(triggered[n_tar:].mean())))
     return cells
 
 

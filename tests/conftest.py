@@ -15,6 +15,18 @@ def make_scores(td_tgt, ti_tgt, td_non, ti_non):
         ti=np.array(list(ti_tgt) + list(ti_non), dtype=np.float64))
 
 
+def interleaved_scores(seed, n=400):
+    """A ScoreTable whose target and nontarget rows alternate irregularly,
+    with scores on a 0.05 grid inside (-1, 1), so band edges hit scores."""
+    rng = np.random.default_rng(seed)
+    labels = rng.random(n) < 0.4
+    td = np.round((rng.standard_normal(n) * 0.4 + 0.3 * labels) / 0.05) * 0.05
+    td = np.clip(td, -0.95, 0.95)
+    ti = np.clip(rng.standard_normal(n) * 0.4 + 0.5 * labels, -0.99, 0.99)
+    return scoring.ScoreTable(speakers=["s0"] * n, utterances=[f"u{i}" for i in range(n)],
+                              labels=labels, td=td, ti=ti)
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     spec = synthcorpus.CorpusSpec(

@@ -172,9 +172,17 @@ GOOD_ARTIFACTS = {
                  "triage-sweep", "fusion_sweep.csv:2", id="sweep-non-numeric"),
     pytest.param("reports/heatmap.csv", "lower,upper,eer,trigger_rate\n0.0,0.0,x,0.0\n",
                  "report", "heatmap.csv:2", id="heatmap-non-numeric"),
+    pytest.param("corpus/trials.tsv", "l0s0\tl0s0u0,l0s0u1\tl0s0u2\ttgt\n"
+                 "l0s0\tl0s0u0,l0s0u1\tl0s1u2\tnon\nl0s0\tl0s0u0,l0s0u1\tl9s9u9\tnon\n",
+                 "score", "trials.tsv:3", id="trials-unknown-test-id"),
+    pytest.param("corpus/trials_lang1.tsv", "l1s0\tl1s0u0,l1s0u1\tl1s0u2\ttgt\n"
+                 "l1s0\tl1s0u0,l9s9u9\tl1s1u2\tnon\n",
+                 "xeval", "trials_lang1.tsv:2", id="trials-unknown-enroll-id"),
 ])
 def test_bad_artifact_names_file_and_line(tmp_path, capsys, rel, text, command, where):
     cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path))
+    if rel.startswith("corpus/"):
+        assert cli.run("gen-data", str(cfg_path)) == 0
     for name, content in {**GOOD_ARTIFACTS, rel: text}.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(content)

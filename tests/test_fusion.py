@@ -8,7 +8,7 @@ from svcascade.fusion import alpha_grid, load_sweep_csv, save_sweep_csv, sweep_f
 from svcascade.metrics import compute_eer
 from svcascade.scoring import ScoreTable
 
-from conftest import make_scores
+from conftest import interleaved_scores, make_scores
 
 
 def test_alpha_grid_includes_endpoints():
@@ -57,6 +57,17 @@ def test_sweep_never_worse_than_endpoints():
         endpoint = {a: e for a, e in result.table}
         assert result.eer_at_alpha_star <= min(endpoint[0.0], endpoint[1.0]) + 1e-12
         assert result.eer_at_alpha_star == min(e for _, e in result.table)
+
+
+def test_sweep_table_equals_per_alpha_eer():
+    scores = interleaved_scores(1)
+    td, ti, labels = scores.td, scores.ti, scores.labels
+    result = sweep_fusion_weight(scores, grid_step=0.05)
+    for alpha, eer in result.table:
+        fused = alpha * td + (1.0 - alpha) * ti
+        assert eer == compute_eer(fused[labels], fused[~labels]).eer
+    assert (result.alpha_star, result.eer_at_alpha_star) == min(
+        result.table, key=lambda ae: (ae[1], ae[0]))
 
 
 def test_finer_grid_never_hurts():

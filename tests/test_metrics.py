@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svcascade.errors import ValidationError
-from svcascade.metrics import _operating_points, compute_eer, cross_eval_matrix
+from svcascade.metrics import _far_frr, compute_eer, cross_eval_matrix
 
 from conftest import make_scores
 
@@ -55,35 +55,81 @@ def test_empty_class_rejected():
         compute_eer([0.4], [])
 
 
-def far_frr_curve(tar, non):
-    """(threshold, FAR, FRR) rows of the operating points compute_eer uses."""
-    return list(zip(*_operating_points(np.asarray(tar, float), np.asarray(non, float))))
+def rates(tar, non, t):
+    """(FAR, FRR) at t through the rate function compute_eer uses."""
+    return _far_frr(np.sort(np.asarray(tar, float)), np.sort(np.asarray(non, float)), t)
 
 
 def test_curve_extremes():
-    curve = far_frr_curve([0.3, 0.8], [0.1, 0.5])
-    assert curve[0][2] == 0.0 and curve[0][1] == 1.0
-    assert curve[-1][1] == 0.0 and curve[-1][2] == 1.0
+    tar, non = [0.3, 0.8], [0.1, 0.5]
+    assert rates(tar, non, 0.1 - 1.0) == (1.0, 0.0)
+    assert rates(tar, non, 0.8 + 1.0) == (0.0, 1.0)
 
 
 def test_curve_tie_convention():
-    curve = far_frr_curve([0.5], [0.5])
-    at_half = [(far, frr) for t, far, frr in curve if t == 0.5]
-    assert at_half == [(1.0, 0.0)]  # score >= threshold accepts
-
-
-def test_curve_length_is_distinct_plus_two():
-    curve = far_frr_curve([0.1, 0.2, 0.2], [0.3, 0.1])
-    assert len(curve) == 3 + 2
+    assert rates([0.5], [0.5], 0.5) == (1.0, 0.0)  # score >= threshold accepts
 
 
 def test_curve_monotone():
+    # FAR - FRR never increases with t, which the bisection relies on
     rng = np.random.default_rng(0)
-    curve = far_frr_curve(rng.standard_normal(50), rng.standard_normal(60))
-    fars = [far for _, far, _ in curve]
-    frrs = [frr for _, _, frr in curve]
+    tar, non = np.round(rng.standard_normal(50), 1), np.round(rng.standard_normal(60), 1)
+    thresholds = np.unique(np.concatenate([tar, non, [tar.min() - 1, non.max() + 1]]))
+    fars, frrs = zip(*(rates(tar, non, t) for t in thresholds))
     assert all(a >= b for a, b in zip(fars, fars[1:]))
     assert all(a <= b for a, b in zip(frrs, frrs[1:]))
+    diffs = [far - frr for far, frr in zip(fars, frrs)]
+    assert all(a >= b for a, b in zip(diffs, diffs[1:]))
+
+
+def eer_full_curve(tar, non):
+    """Reference: FAR/FRR at every candidate (the distinct scores plus one
+    beyond each end), crossing at the first FAR - FRR <= 0."""
+    tar, non = np.asarray(tar, float), np.asarray(non, float)
+    distinct = np.unique(np.concatenate([tar, non]))
+    thresholds = np.concatenate([[distinct[0] - 1.0], distinct, [distinct[-1] + 1.0]])
+    frr = np.searchsorted(np.sort(tar), thresholds, side="left") / tar.size
+    far = (non.size - np.searchsorted(np.sort(non), thresholds, side="left")) / non.size
+    diff = far - frr
+    idx = int(np.argmax(diff <= 0.0))
+    if diff[idx] == 0.0:
+        return float(far[idx]), float(thresholds[idx])
+    lam = diff[idx - 1] / (diff[idx - 1] - diff[idx])
+    return (float(frr[idx - 1] + lam * (frr[idx] - frr[idx - 1])),
+            float(thresholds[idx - 1] + lam * (thresholds[idx] - thresholds[idx - 1])))
+
+
+def score_set(rng, kind, n_tar, n_non):
+    if kind == "ties":  # a few score levels shared by both classes
+        levels = int(rng.integers(1, 5))
+        return rng.integers(0, levels + 1, n_tar) / levels, \
+            rng.integers(0, levels + 1, n_non) / levels
+    if kind == "separated":
+        return 1.0 + rng.random(n_tar), -rng.random(n_non)
+    if kind == "inverted":  # EER 1, reached at the lowest nontarget score
+        return -rng.random(n_tar), 1.0 + rng.random(n_non)
+    if kind == "single":  # every score equal: the crossing is at the top sentinel
+        return np.full(n_tar, 0.25), np.full(n_non, 0.25)
+    return rng.standard_normal(n_tar) + 0.5, rng.standard_normal(n_non)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["ties", "separated", "inverted", "single", "normal"]),
+       st.integers(1, 300), st.integers(1, 300))
+def test_kernel_equals_full_curve_reference(seed, kind, n_tar, n_non):
+    tar, non = score_set(np.random.default_rng(seed), kind, n_tar, n_non)
+    result = compute_eer(tar, non)
+    assert (result.eer, result.eer_threshold) == eer_full_curve(tar, non)
+
+
+def test_crossing_at_top_sentinel():
+    # FAR - FRR > 0 at every score, so the crossing lies between the top
+    # score and the sentinel one beyond it
+    for tar, non in (([0.25], [0.25]), ([0.5, 0.9], [0.9, 0.9])):
+        result = compute_eer(tar, non)
+        assert result.eer_threshold > max(tar + non)
+        assert (result.eer, result.eer_threshold) == eer_full_curve(tar, non)
 
 
 def test_matches_bruteforce_on_random_sets():

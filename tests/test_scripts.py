@@ -38,3 +38,11 @@ def test_multilingual_table_runs():
                         "--steps", "5", "--trials", "10")
     assert result.returncode == 0, result.stderr
     assert "lang2 (unseen)" in result.stdout
+
+
+def test_benchmark_selftest_runs():
+    """The benchmark's tracing hooks still fit the package's names and
+    signatures, such as the `compute_eer` binding that triage imports."""
+    result = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "selftest.py")],
+                            cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr

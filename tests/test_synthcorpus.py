@@ -186,4 +186,4 @@ def test_trial_tsv_roundtrip(tmp_path):
     save_trials(trials, str(path))
     first = path.read_text().splitlines()[0].split("\t")
     assert len(first) == 4 and first[3] in ("tgt", "non")
-    assert load_trials(str(path)).trials == trials.trials
+    assert load_trials(str(path), corpus).trials == trials.trials

@@ -9,7 +9,7 @@ from svcascade.triage import (
     CostModel, Decision, TriagePolicy, apply_triage, expected_flops, expected_latency,
     in_band, prior_sensitivity_curve, sweep_bands, triage_decide, trigger_rate)
 
-from conftest import make_scores
+from conftest import interleaved_scores, make_scores
 
 POLICY = TriagePolicy(lower=0.23, upper=0.65, alpha=FusionWeight(0.5))
 
@@ -133,6 +133,22 @@ def test_sweep_degenerate_cells_match_pure_systems():
     full = cells[(-1.0, 1.0)]
     assert full.eer == pytest.approx(fused_eer, abs=1e-12)
     assert full.trigger_rate == 1.0
+
+
+def test_sweep_cells_equal_per_cell_eer():
+    scores = interleaved_scores(0)
+    td, labels = scores.td, scores.labels
+    fused = 0.3 * td + 0.7 * scores.ti
+    cells = sweep_bands(scores, -1.0, 1.0, 0.25, FusionWeight(0.3))
+    for c in cells:
+        triggered = in_band(td, c.lower, c.upper)
+        final = np.where(triggered, fused, td)
+        assert c.eer == compute_eer(final[labels], final[~labels]).eer
+        assert c.target_rate == triggered[labels].mean()
+        assert c.nontarget_rate == triggered[~labels].mean()
+    rates = {(c.lower, c.upper): (c.target_rate, c.nontarget_rate) for c in cells}
+    assert rates[(0.0, 0.0)] == (0.0, 0.0)  # triggers no trial
+    assert rates[(-1.0, 1.0)] == (1.0, 1.0)  # triggers every trial
 
 
 def test_sweep_nested_bands_have_monotone_rates():
