@@ -9,7 +9,6 @@ over the utterance with a 1e-8 variance floor.
 
 from __future__ import annotations
 
-import wave
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,17 +118,3 @@ def mean_variance_normalize(frames: np.ndarray) -> np.ndarray:
     mean = frames.mean(axis=0)
     var = frames.var(axis=0)
     return (frames - mean) / np.sqrt(np.maximum(var, VARIANCE_FLOOR))
-
-
-def read_wav(path: str) -> Waveform:
-    """Reads 16 kHz 16-bit PCM mono RIFF WAV; samples scaled to [-1, 1)."""
-    with wave.open(path, "rb") as wf:
-        if wf.getnchannels() != 1:
-            raise ValidationError(f"{path}: expected mono, got {wf.getnchannels()} channels")
-        if wf.getsampwidth() != 2:
-            raise ValidationError(f"{path}: expected 16-bit PCM")
-        if wf.getframerate() != SAMPLE_RATE:
-            raise ValidationError(f"{path}: expected {SAMPLE_RATE} Hz, got {wf.getframerate()}")
-        raw = wf.readframes(wf.getnframes())
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples=samples)

@@ -8,6 +8,9 @@ is linearly interpolated between the two adjacent candidates where FAR - FRR
 changes sign.  FAR - FRR does not increase with t, so no curve is built: each
 class is sorted once, and bisection finds the first candidate with
 FAR - FRR <= 0 among the targets, then among the nontargets below it.
+`compute_eer` is the kernel for one score set; the band sweep shares its
+rates from counts and its interpolation (`far_frr_from_counts`,
+`interpolate_eer`).
 EER is a fraction in [0, 1] internally; reports convert to percent.
 """
 
@@ -30,9 +33,25 @@ class EvalResult:
     num_nontargets: int
 
 
+def far_frr_from_counts(tar_below, non_below, n_tar: int, n_non: int):
+    """(FAR, FRR) at a threshold from the counts of target and nontarget
+    scores below it; elementwise on arrays of counts."""
+    return (n_non - non_below) / n_non, tar_below / n_tar
+
+
 def _far_frr(tar: np.ndarray, non: np.ndarray, t):
     """(FAR, FRR) at threshold t, for sorted target and nontarget scores."""
-    return (non.size - non.searchsorted(t)) / non.size, tar.searchsorted(t) / tar.size
+    return far_frr_from_counts(tar.searchsorted(t), non.searchsorted(t), tar.size, non.size)
+
+
+def interpolate_eer(far, frr, far_prev, frr_prev, t, prev):
+    """(EER, threshold) between adjacent candidates prev < t, from the rates
+    at each: FAR - FRR > 0 at prev and <= 0 at t.  Elementwise on arrays."""
+    diff, diff_prev = far - frr, far_prev - frr_prev
+    lam = diff_prev / (diff_prev - diff)
+    exact = diff == 0.0
+    return (np.where(exact, far, frr_prev + lam * (frr - frr_prev)),
+            np.where(exact, t, prev + lam * (t - prev)))
 
 
 def compute_eer(target_scores, nontarget_scores) -> EvalResult:
@@ -54,15 +73,8 @@ def compute_eer(target_scores, nontarget_scores) -> EvalResult:
     j = bisect_left(non, True, lo, hi, key=crossed)
     t = non[j] if j < hi else tar[i] if i < tar.size else max(tar[-1], non[-1]) + 1.0
     prev = max(s[k - 1] for s in (tar, non) if (k := s.searchsorted(t)) > 0)
-    (far, frr), (far_prev, frr_prev) = _far_frr(tar, non, t), _far_frr(tar, non, prev)
-    diff, diff_prev = far - frr, far_prev - frr_prev
-    if diff == 0.0:
-        eer, threshold = float(far), float(t)
-    else:
-        lam = diff_prev / (diff_prev - diff)
-        eer = float(frr_prev + lam * (frr - frr_prev))
-        threshold = float(prev + lam * (t - prev))
-    return EvalResult(eer=eer, eer_threshold=threshold,
+    eer, threshold = interpolate_eer(*_far_frr(tar, non, t), *_far_frr(tar, non, prev), t, prev)
+    return EvalResult(eer=float(eer), eer_threshold=float(threshold),
                       num_targets=int(tar.size), num_nontargets=int(non.size))
 
 

@@ -4,7 +4,11 @@ with trigger-rate, latency and flop analytics.
 A trial escalates to fusion only when its TD score falls strictly inside
 the (lower, upper) band; boundary scores count as confident.  Triaged EER
 is computed on the mixed axis of raw TD scores (confident trials) and
-fused scores (triggered trials), with no per-branch recalibration.
+fused scores (triggered trials), with no per-branch recalibration.  The
+heat map's EERs come from per-class counts of final scores below each
+candidate threshold, for every band at once, so no cell sorts its own final
+scores; `metrics.compute_eer` serves single score sets, such as the TD
+scores that every empty band leaves.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .errors import DependencyError, ValidationError
 from .fusion import FusionWeight
-from .metrics import compute_eer
+from .metrics import compute_eer, far_frr_from_counts, interpolate_eer
 from .scoring import ScoreTable
 
 
@@ -146,23 +150,131 @@ def band_grid(grid_min: float, grid_max: float, step: float) -> np.ndarray:
     return values
 
 
+_CELL_BLOCK = 512  # cells per vectorized block, so temporaries do not grow with the grid
+_RANK_BLOCK = 32  # fused ranks per stored prefix row
+_RANK_COLUMNS = np.arange(_RANK_BLOCK)
+
+
+class _BandCounts:
+    """For one trial class: how many triaged final scores lie below x, for
+    many (band, x) pairs at once, without building any final-score array.
+
+    Each trial gets a grid bin from its TD score: bin 2k lies strictly
+    between values[k - 1] and values[k], and bin 2k + 1 is values[k] itself,
+    so band (values[i], values[j]) with i < j holds bins [2i + 2, 2j + 1)."""
+
+    def __init__(self, td: np.ndarray, fused: np.ndarray, values: np.ndarray):
+        self.size = td.size
+        self.td = np.sort(td)
+        order = np.argsort(fused)
+        self.fused = fused[order]
+        # TD scores <= values[i] and < values[j]: the in-band count is their difference
+        self.at_or_below = self.td.searchsorted(values, side="right")
+        self.below = self.td.searchsorted(values)
+        k = values.searchsorted(td)
+        bins = (2 * k + (values[np.minimum(k, values.size - 1)] == td)).astype(np.int32)
+        rows = self.size // _RANK_BLOCK + 1
+        by_rank = np.zeros(rows * _RANK_BLOCK, dtype=bins.dtype)
+        by_rank[:self.size] = bins[order]
+        self.blocks = by_rank.reshape(rows, _RANK_BLOCK)
+        # prefix[q, b]: trials among the first q * _RANK_BLOCK fused ranks with bin < b
+        width = 2 * values.size + 2
+        stored = (rows - 1) * _RANK_BLOCK
+        flat = (np.arange(stored) // _RANK_BLOCK + 1) * width + by_rank[:stored] + 1
+        hist = np.bincount(flat, minlength=rows * width).reshape(rows, width)
+        self.prefix = hist.cumsum(axis=0, dtype=np.int32).cumsum(axis=1, dtype=np.int32)
+
+    def triggered(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Trials inside band (values[i], values[j]), per band."""
+        return np.maximum(self.below[j] - self.at_or_below[i], 0)
+
+    def count_below(self, x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Final scores below x[c] under band (values[i[c]], values[j[c]]),
+        i < j: TD scores below x, less the in-band ones, plus the in-band
+        fused scores below x."""
+        td_below = self.td.searchsorted(x)
+        in_band_td = np.maximum(np.minimum(td_below, self.below[j]) - self.at_or_below[i], 0)
+        # the first r fused ranks hold the fused scores below x: count the
+        # in-band ones from the stored prefix row and the rest of r's block
+        q, rest = np.divmod(self.fused.searchsorted(x), _RANK_BLOCK)
+        lo, hi = 2 * i + 2, 2 * j + 1
+        row = self.blocks[q]
+        in_band_fused = (self.prefix[q, hi] - self.prefix[q, lo]
+                         + ((row >= lo[:, None]) & (row < hi[:, None])
+                            & (_RANK_COLUMNS < rest[:, None])).sum(axis=1))
+        return td_below - in_band_td + in_band_fused
+
+
+def _first_true(holds, hi: np.ndarray) -> np.ndarray:
+    """Per cell, the first index in [0, hi] where `holds`, which must be
+    monotone in the index and true at hi."""
+    lo = np.zeros_like(hi)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        ok = holds(mid)
+        lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)
+    return hi
+
+
+def _band_eers(tar: _BandCounts, non: _BandCounts, candidates: np.ndarray,
+               i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """compute_eer's EER for each nonempty band (values[i], values[j]).
+
+    Candidates are every TD and fused score plus +inf, sorted: a superset
+    of each cell's final scores and top sentinel.  The first candidate with
+    FAR - FRR <= 0 has compute_eer's counts, since no final score lies
+    between the two; the previous final score is the candidate before the
+    first one with as many final scores below it."""
+    def counts(k):
+        return tar.count_below(candidates[k], i, j), non.count_below(candidates[k], i, j)
+
+    def rates(below):
+        return far_frr_from_counts(*below, tar.size, non.size)
+
+    def crossed(k):
+        far, frr = rates(counts(k))
+        return far - frr <= 0.0
+
+    t = _first_true(crossed, np.full(i.size, candidates.size - 1))
+    at_t = counts(t)
+    total = sum(at_t)
+    prev = _first_true(lambda k: sum(counts(k)) >= total, t) - 1
+    eer, _ = interpolate_eer(*rates(at_t), *rates(counts(prev)), candidates[t], candidates[prev])
+    return eer
+
+
 def sweep_bands(scores: ScoreTable, grid_min: float, grid_max: float,
                 step: float, alpha: FusionWeight) -> list[BandCell]:
     """One cell per (lower, upper) grid pair with lower <= upper: the EER on
-    the triaged final-score axis and the per-class trigger rates."""
+    the triaged final-score axis and the per-class trigger rates.
+
+    An empty band (lower == upper) triggers nothing, so its EER is the TD
+    system's.  Every other cell's EER comes from per-class counts of final
+    scores below each candidate threshold, bisected for all cells at once."""
     alpha.validate()
     values = band_grid(grid_min, grid_max, step)
     n_tar, td, ti = scores.fusable("band sweep")
     fused = alpha.alpha * td + (1.0 - alpha.alpha) * ti
+    if not (np.all(np.isfinite(td)) and np.all(np.isfinite(fused))):
+        raise ValidationError("scores must be finite")
+    td_eer = compute_eer(td[:n_tar], td[n_tar:]).eer
+    tar = _BandCounts(td[:n_tar], fused[:n_tar], values)
+    non = _BandCounts(td[n_tar:], fused[n_tar:], values)
+    candidates = np.concatenate([td, fused, [np.inf]])
+    candidates.sort()
+    # flat cell index of each lower bound's first cell, in (lower, upper) order
+    starts = np.concatenate([[0], np.cumsum(np.arange(values.size, 0, -1))])
     cells = []
-    for i, lower in enumerate(values):
-        for upper in values[i:]:
-            triggered = in_band(td, lower, upper)
-            final = np.where(triggered, fused, td)
-            cells.append(BandCell(lower=float(lower), upper=float(upper),
-                                  eer=compute_eer(final[:n_tar], final[n_tar:]).eer,
-                                  target_rate=float(triggered[:n_tar].mean()),
-                                  nontarget_rate=float(triggered[n_tar:].mean())))
+    for first in range(0, int(starts[-1]), _CELL_BLOCK):
+        k = np.arange(first, min(first + _CELL_BLOCK, int(starts[-1])))
+        i = starts.searchsorted(k, side="right") - 1
+        j = i + k - starts[i]
+        eer = np.full(k.size, td_eer)
+        band = i < j
+        eer[band] = _band_eers(tar, non, candidates, i[band], j[band])
+        cells.extend(map(BandCell, values[i].tolist(), values[j].tolist(), eer.tolist(),
+                         (tar.triggered(i, j) / tar.size).tolist(),
+                         (non.triggered(i, j) / non.size).tolist()))
     return cells
 
 

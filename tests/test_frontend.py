@@ -1,4 +1,3 @@
-import wave
 
 import numpy as np
 import pytest
@@ -6,8 +5,7 @@ import pytest
 from svcascade.errors import ValidationError
 from svcascade.frontend import (
     LOG_FLOOR, RAW_MEL, STACKED_NORMALIZED, FeatureSequence, Waveform,
-    extract_logmel, mean_variance_normalize, mel_filterbank, read_wav,
-    stack_and_normalize)
+    extract_logmel, mean_variance_normalize, mel_filterbank, stack_and_normalize)
 
 
 def tone(freq_hz, seconds=1.0, amplitude=0.5):
@@ -83,27 +81,3 @@ def test_stack_needs_two_frames():
     f = FeatureSequence(frames=np.zeros((1, 40)), kind=RAW_MEL)
     with pytest.raises(ValidationError, match="2 frames"):
         stack_and_normalize(f)
-
-
-def test_read_wav_roundtrip(tmp_path):
-    samples = (np.sin(2 * np.pi * 440 * np.arange(8000) / 16000) * 16000).astype("<i2")
-    path = tmp_path / "t.wav"
-    with wave.open(str(path), "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(16000)
-        wf.writeframes(samples.tobytes())
-    w = read_wav(str(path))
-    assert len(w.samples) == 8000
-    assert np.allclose(w.samples, samples / 32768.0)
-
-
-def test_read_wav_rejects_wrong_rate(tmp_path):
-    path = tmp_path / "bad.wav"
-    with wave.open(str(path), "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(8000)
-        wf.writeframes(b"\x00\x00" * 100)
-    with pytest.raises(ValidationError, match="8000"):
-        read_wav(str(path))

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from svcascade import triage
 from svcascade.errors import ValidationError
 from svcascade.fusion import FusionWeight, sweep_fusion_weight
 from svcascade.metrics import compute_eer
 from svcascade.scoring import ScoreTable
 from svcascade.triage import (
-    CostModel, Decision, TriagePolicy, apply_triage, expected_flops, expected_latency,
-    in_band, prior_sensitivity_curve, sweep_bands, triage_decide, trigger_rate)
+    CostModel, Decision, TriagePolicy, apply_triage, band_grid, expected_flops,
+    expected_latency, in_band, prior_sensitivity_curve, sweep_bands, triage_decide, trigger_rate)
 
 from conftest import interleaved_scores, make_scores
 
@@ -135,20 +138,59 @@ def test_sweep_degenerate_cells_match_pure_systems():
     assert full.trigger_rate == 1.0
 
 
-def test_sweep_cells_equal_per_cell_eer():
-    scores = interleaved_scores(0)
+def assert_cells_equal_per_cell_eer(scores, cells, alpha):
+    """Every cell equals the masked computation on its own final scores."""
     td, labels = scores.td, scores.labels
-    fused = 0.3 * td + 0.7 * scores.ti
-    cells = sweep_bands(scores, -1.0, 1.0, 0.25, FusionWeight(0.3))
+    fused = alpha * td + (1.0 - alpha) * scores.ti
     for c in cells:
         triggered = in_band(td, c.lower, c.upper)
         final = np.where(triggered, fused, td)
-        assert c.eer == compute_eer(final[labels], final[~labels]).eer
+        assert c.eer == compute_eer(final[labels], final[~labels]).eer, (c.lower, c.upper)
         assert c.target_rate == triggered[labels].mean()
         assert c.nontarget_rate == triggered[~labels].mean()
+
+
+def test_sweep_cells_equal_per_cell_eer():
+    scores = interleaved_scores(0)
+    cells = sweep_bands(scores, -1.0, 1.0, 0.25, FusionWeight(0.3))
+    assert_cells_equal_per_cell_eer(scores, cells, 0.3)
     rates = {(c.lower, c.upper): (c.target_rate, c.nontarget_rate) for c in cells}
     assert rates[(0.0, 0.0)] == (0.0, 0.0)  # triggers no trial
     assert rates[(-1.0, 1.0)] == (1.0, 1.0)  # triggers every trial
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from([0.0, 1.0, 0.3, 0.5]), st.sampled_from([0.25, 0.3, 0.5, 0.7]),
+       st.booleans())
+def test_sweep_equals_per_cell_eer_on_tied_scores(seed, n_tar, n_non, alpha, step, ti_is_td):
+    # scores drawn from the band values themselves (including -1.0 and 1.0)
+    # and a few others, so ties within and across classes and on band edges
+    # are common; steps 0.3 and 0.7 do not divide [-1, 1], so the grid ends
+    # on an appended 1.0
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([band_grid(-1.0, 1.0, step), [0.0], rng.uniform(-1.0, 1.0, 3)])
+    td = rng.choice(pool, n_tar + n_non)
+    ti = td.copy() if ti_is_td else rng.choice(pool, n_tar + n_non)
+    scores = make_scores(td[:n_tar], ti[:n_tar], td[n_tar:], ti[n_tar:])
+    cells = sweep_bands(scores, -1.0, 1.0, step, FusionWeight(alpha))
+    assert_cells_equal_per_cell_eer(scores, cells, alpha)
+
+
+def test_sweep_cells_do_not_depend_on_block_size(monkeypatch):
+    scores = interleaved_scores(1)
+    cells = sweep_bands(scores, -1.0, 1.0, 0.25, FusionWeight(0.4))
+    # 45 cells in blocks of 4: the last block holds only the empty band (1, 1)
+    monkeypatch.setattr(triage, "_CELL_BLOCK", 4)
+    assert sweep_bands(scores, -1.0, 1.0, 0.25, FusionWeight(0.4)) == cells
+
+
+@pytest.mark.parametrize("td, ti", [(np.nan, 0.5), (np.inf, 0.5), (0.5, np.nan),
+                                    (0.5, -np.inf)])
+def test_sweep_rejects_non_finite_scores(td, ti):
+    scores = make_scores([0.9, td], [0.8, ti], [0.1, -0.3], [0.2, -0.1])
+    with pytest.raises(ValidationError, match="scores must be finite"):
+        sweep_bands(scores, -1.0, 1.0, 0.5, FusionWeight(0.5))
 
 
 def test_sweep_nested_bands_have_monotone_rates():
