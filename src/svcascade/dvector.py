@@ -16,6 +16,7 @@ outside the time loop.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,36 +296,51 @@ def flops_per_utterance(spec: NetworkSpec, num_frames: int) -> int:
 # --- checkpoint persistence -------------------------------------------------
 
 CHECKPOINT_VERSION = 2
-
-
-def _format_value(v: float) -> str:
-    # float32 storage precision; %.9g round-trips float32 exactly
-    return "%.9g" % np.float32(v)
+_FORMAT_ROWS = 256  # rows per %-format call; bounds its temporary tuple and string
 
 
 def save_checkpoint(path: str, params: Parameters) -> None:
+    """Writes one text block per parameter at float32 precision ("%.9g"
+    round-trips float32 exactly).  A value that is not finite at float32
+    (NaN, inf, or beyond float32 max) raises NumericError naming its block
+    before any file is written."""
     spec = params.spec
+    blocks = {}
+    for name in param_names(spec):
+        with np.errstate(over="ignore"):
+            arr = np.atleast_2d(np.asarray(params[name], dtype=np.float64)).astype(np.float32)
+        if not np.all(np.isfinite(arr)):
+            raise NumericError(f"{path}: block {name} is not finite at float32; nothing written")
+        blocks[name] = arr
     with open(path, "w") as f:
         f.write(f"format {CHECKPOINT_VERSION}\n")
         f.write(f"spec input_dim={spec.input_dim} num_layers={spec.num_layers} "
                 f"cells={spec.cells} projection_dim={spec.projection_dim} "
                 f"output_dim={spec.output_dim}\n")
-        for name in param_names(spec):
-            arr = np.atleast_2d(np.asarray(params[name], dtype=np.float64))
-            f.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
-            for row in arr:
-                f.write(" ".join(_format_value(v) for v in row) + "\n")
+        for name, arr in blocks.items():
+            rows, cols = arr.shape
+            f.write(f"{name} {rows} {cols}\n")
+            row_format = " ".join(["%.9g"] * cols) + "\n"
+            for start in range(0, rows, _FORMAT_ROWS):
+                chunk = arr[start:start + _FORMAT_ROWS]
+                f.write(row_format * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def load_checkpoint(path: str) -> Parameters:
-    """Reads save_checkpoint's format; a malformed, truncated or
-    non-numeric line is a ValidationError naming path:line."""
-    with open(path) as f:
-        lines = f.read().splitlines()
+    """Reads save_checkpoint's format, one block per parse; a malformed,
+    truncated, non-numeric or non-UTF-8 line is a ValidationError naming
+    path:line."""
 
     def bad(lineno: int, what: str) -> ValidationError:
         return ValidationError(f"{path}:{lineno}: {what}")
 
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as e:
+        # read() decodes the whole file at once, so e.object is all of it
+        raise bad(len((e.object[:e.start].decode("utf-8") + "?").splitlines()),
+                  "not UTF-8 text") from None
     head = lines[0].split() if lines else []
     if len(head) != 2 or head[0] != "format":
         raise bad(1, "missing checkpoint format line")
@@ -350,16 +366,26 @@ def load_checkpoint(path: str) -> Parameters:
             raise bad(pos + 1, f"expected block header '{header}'")
         if pos + rows >= len(lines):
             raise bad(len(lines), f"block {name} truncated: {len(lines) - pos - 1} of {rows} rows")
-        block = []
-        for lineno in range(pos + 2, pos + rows + 2):
-            try:
-                row = np.array(lines[lineno - 1].split(), dtype=np.float64)
-            except ValueError:
-                raise bad(lineno, f"non-numeric value in block {name}") from None
-            if row.shape != (cols,) or not np.all(np.isfinite(row)):
-                raise bad(lineno, f"block {name} needs {cols} finite numbers per row")
-            block.append(row)
-        values[name] = np.array(block).reshape(shapes[name])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # all-blank body: fails the shape test
+                block = np.loadtxt(lines[pos + 1:pos + rows + 1], dtype=np.float64,
+                                   ndmin=2, comments=None)
+        except ValueError:
+            block = None
+        if block is None or block.shape != (rows, cols) or not np.all(np.isfinite(block)):
+            # Diagnosis: the per-row reader raises at the first bad line.  It
+            # also loads the few tokens float() takes and loadtxt does not (1_0).
+            block = []
+            for lineno in range(pos + 2, pos + rows + 2):
+                try:
+                    row = np.array(lines[lineno - 1].split(), dtype=np.float64)
+                except ValueError:
+                    raise bad(lineno, f"non-numeric value in block {name}") from None
+                if row.shape != (cols,) or not np.all(np.isfinite(row)):
+                    raise bad(lineno, f"block {name} needs {cols} finite numbers per row")
+                block.append(row)
+        values[name] = np.asarray(block).reshape(shapes[name])
         pos += rows + 1
     for lineno in range(pos + 1, len(lines) + 1):
         if lines[lineno - 1].strip():
