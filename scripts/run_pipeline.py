@@ -12,8 +12,8 @@ import sys
 
 from svcascade import cli
 
-ORDER = ("gen-data", "train", "score", "fuse-sweep", "triage-sweep",
-         "triage-apply", "eval", "report")
+# every stage in CLI order; xeval, the slow one, runs last and only on request
+ORDER = tuple(command for command in cli.COMMANDS if command != "xeval")
 
 
 def main() -> int:

@@ -45,10 +45,9 @@ def main() -> int:
 
     print("trigger_rate\teer\tband\tlatency_s\tmflops")
     for cell in frontier:
+        seconds, flops = cost.expected(cell.trigger_rate)
         print("%.3f\t%.4f\t[%.2f, %.2f]\t%.2f\t%.1f" % (
-            cell.trigger_rate, cell.eer, cell.lower, cell.upper,
-            triage.expected_latency(cell.trigger_rate, cost),
-            triage.expected_flops(cell.trigger_rate, cost) / 1e6))
+            cell.trigger_rate, cell.eer, cell.lower, cell.upper, seconds, flops / 1e6))
     return 0
 
 

@@ -44,7 +44,7 @@ def _scores_path(cfg: ExperimentConfig) -> str:
 
 
 def _load_corpus(cfg: ExperimentConfig) -> synthcorpus.Corpus:
-    _require(os.path.join(cfg.corpus_dir, "corpus.meta"), "gen-data")
+    _require(os.path.join(cfg.corpus_dir, synthcorpus.CORPUS_FILE), "gen-data")
     return synthcorpus.load_corpus(cfg.corpus_dir)
 
 
@@ -182,6 +182,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         keyword_seconds=cfg.keyword_seconds, query_seconds=cfg.query_seconds,
         td_flops=dvector.flops_per_utterance(cfg.td_network, kw),
         ti_flops=dvector.flops_per_utterance(cfg.ti_network, total))
+    seconds, flops = cost.expected(best.trigger_rate)
 
     lines = [
         "eer_td=%.9f" % td_eer,
@@ -192,8 +193,8 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         "band_upper=%.6f" % best.upper,
         "eer=%.9f" % best.eer,
         "trigger_rate=%.9f" % best.trigger_rate,
-        "expected_latency_seconds=%.9f" % triage.expected_latency(best.trigger_rate, cost),
-        "expected_flops=%.1f" % triage.expected_flops(best.trigger_rate, cost),
+        "expected_latency_seconds=%.9f" % seconds,
+        "expected_flops=%.1f" % flops,
     ]
     os.makedirs(cfg.report_dir, exist_ok=True)
     with open(os.path.join(cfg.report_dir, "report.txt"), "w") as f:

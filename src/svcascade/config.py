@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from . import errors
 from .dvector import NetworkSpec
 from .errors import ValidationError
 from .fusion import FusionWeight, alpha_grid
@@ -187,7 +188,7 @@ class ExperimentConfig:
 def _read_flat_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        lines = open(path).read().splitlines()
+        lines = errors.read_text(path).splitlines()
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from None
     for lineno, line in enumerate(lines, 1):

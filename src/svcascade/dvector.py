@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import NumericError, ValidationError
 
 @dataclass(frozen=True)
@@ -334,13 +335,7 @@ def load_checkpoint(path: str) -> Parameters:
     def bad(lineno: int, what: str) -> ValidationError:
         return ValidationError(f"{path}:{lineno}: {what}")
 
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except UnicodeDecodeError as e:
-        # read() decodes the whole file at once, so e.object is all of it
-        raise bad(len((e.object[:e.start].decode("utf-8") + "?").splitlines()),
-                  "not UTF-8 text") from None
+    lines = errors.read_text(path).splitlines()
     head = lines[0].split() if lines else []
     if len(head) != 2 or head[0] != "format":
         raise bad(1, "missing checkpoint format line")

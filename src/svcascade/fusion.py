@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import ValidationError
 from .metrics import compute_eer
 from .scoring import ScoreTable
@@ -61,18 +63,16 @@ def save_sweep_csv(path: str, result: FusionSweepResult) -> None:
 
 def load_sweep_csv(path: str) -> FusionSweepResult:
     table = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["alpha", "eer"]:
-            raise ValidationError(f"{path}: not a fusion sweep file")
-        for row in reader:
-            try:
-                alpha, eer = (float(v) for v in row)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{reader.line_num}: expected two numbers (alpha, eer)") from None
-            table.append((alpha, eer))
+    reader = csv.reader(io.StringIO(errors.read_text(path)))
+    if next(reader, None) != ["alpha", "eer"]:
+        raise ValidationError(f"{path}: not a fusion sweep file")
+    for row in reader:
+        try:
+            alpha, eer = (float(v) for v in row)
+        except ValueError:
+            raise ValidationError(
+                f"{path}:{reader.line_num}: expected two numbers (alpha, eer)") from None
+        table.append((alpha, eer))
     if not table:
         raise ValidationError(f"{path}: empty fusion sweep")
     best_alpha, best_eer = min(table, key=lambda ae: (ae[1], ae[0]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dvector
+from . import dvector, errors
 from .errors import ValidationError
 from .synthcorpus import Corpus, TrialList
 
@@ -130,28 +130,26 @@ def load_scores(path: str) -> ScoreTable:
     """Reads save_scores' TSV; scores must be finite, and the TI column
     must be NA on every line or on none."""
     speakers, utterances, labels, td, ti = [], [], [], [], []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5 or parts[2] not in ("tgt", "non"):
-                raise ValidationError(f"{path}:{lineno}: malformed score line")
-            try:
-                td.append(float(parts[3]))
-                if parts[4] != "NA":
-                    ti.append(float(parts[4]))
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: non-numeric score") from None
-            if len(ti) not in (0, len(td)):
-                raise ValidationError(
-                    f"{path}:{lineno}: TI score must be NA on every line or on none")
-            if not (math.isfinite(td[-1]) and (not ti or math.isfinite(ti[-1]))):
-                raise ValidationError(f"{path}:{lineno}: non-finite score")
-            speakers.append(parts[0])
-            utterances.append(parts[1])
-            labels.append(parts[2] == "tgt")
+    for lineno, line in enumerate(errors.read_text(path).split("\n"), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5 or parts[2] not in ("tgt", "non"):
+            raise ValidationError(f"{path}:{lineno}: malformed score line")
+        try:
+            td.append(float(parts[3]))
+            if parts[4] != "NA":
+                ti.append(float(parts[4]))
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: non-numeric score") from None
+        if len(ti) not in (0, len(td)):
+            raise ValidationError(
+                f"{path}:{lineno}: TI score must be NA on every line or on none")
+        if not (math.isfinite(td[-1]) and (not ti or math.isfinite(ti[-1]))):
+            raise ValidationError(f"{path}:{lineno}: non-finite score")
+        speakers.append(parts[0])
+        utterances.append(parts[1])
+        labels.append(parts[2] == "tgt")
     return ScoreTable(speakers=speakers, utterances=utterances,
                       labels=np.array(labels, dtype=bool),
                       td=np.array(td, dtype=np.float64),

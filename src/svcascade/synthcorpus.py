@@ -16,11 +16,12 @@ order is fixed (languages, then speakers, then utterances) so equal
 from __future__ import annotations
 
 import os
-import struct
-from dataclasses import dataclass, field, fields
+import zipfile
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from . import errors
 from .errors import CapacityError, ValidationError
 
 CONTENT_AMPLITUDE = 1.0
@@ -237,103 +238,64 @@ def split_trials(corpus: Corpus, target_trials: int, nontarget_trials: int,
 
 # --- persistence ------------------------------------------------------------
 
-def write_feature_file(path: str, frames: np.ndarray) -> None:
-    """Binary layout: two 32-bit little-endian ints (rows, cols), then
-    row-major 32-bit little-endian floats."""
-    arr = np.ascontiguousarray(frames, dtype="<f4")
-    if arr.ndim != 2:
-        raise ValidationError(f"feature array must be 2-D, got shape {arr.shape}")
-    with open(path, "wb") as f:
-        f.write(struct.pack("<ii", arr.shape[0], arr.shape[1]))
-        f.write(arr.tobytes())
-
-
-def read_feature_file(path: str) -> np.ndarray:
-    try:
-        with open(path, "rb") as f:
-            header = f.read(8)
-            data = np.frombuffer(f.read(), dtype="<f4")
-    except OSError as exc:
-        raise ValidationError(f"cannot read feature file {path}: {exc.strerror}") from None
-    if len(header) != 8:
-        raise ValidationError(f"truncated feature file {path}")
-    rows, cols = struct.unpack("<ii", header)
-    if rows < 0 or cols < 0 or data.size != rows * cols:
-        raise ValidationError(f"feature file {path}: expected {rows * cols} values, got {data.size}")
-    return data.reshape(rows, cols).astype(np.float32)
+CORPUS_FILE = "corpus.npz"
 
 
 def save_corpus(corpus: Corpus, directory: str) -> None:
+    """One uncompressed npz: each spec field as a 0-d array, the overrides
+    as (language, count) rows, and the keyword and query frames stacked in
+    utterance order.  It is written under a temporary name and renamed, so
+    an interrupted run leaves no corpus file."""
     os.makedirs(directory, exist_ok=True)
     spec = corpus.spec
-    lines = [
-        f"languages={spec.languages}",
-        f"speakers_per_language={spec.speakers_per_language}",
-        f"utterances_per_speaker={spec.utterances_per_speaker}",
-        f"keyword_frames={spec.keyword_frames}",
-        f"query_frames={spec.query_frames}",
-        f"feature_dim={spec.feature_dim}",
-        f"language_shift_scale={spec.language_shift_scale!r}",
-        f"speaker_scale={spec.speaker_scale!r}",
-        f"utterance_noise_scale={spec.utterance_noise_scale!r}",
-        f"seed={spec.seed}",
-    ]
-    for lang in sorted(spec.utterance_overrides):
-        lines.append(f"override_{lang}={spec.utterance_overrides[lang]}")
-    lines.append(f"num_utterances={len(corpus.utterances)}")
-    for u in corpus.utterances:
-        write_feature_file(os.path.join(directory, f"{u.utterance_id}.kw.feat"), u.keyword)
-        write_feature_file(os.path.join(directory, f"{u.utterance_id}.q.feat"), u.query)
-    # written last: a corpus cut short by an interrupted run has no corpus.meta
-    with open(os.path.join(directory, "corpus.meta"), "w") as f:
-        f.write("\n".join(lines) + "\n")
+    arrays = {**asdict(spec), "utterance_overrides": np.array(
+                  sorted(spec.utterance_overrides.items()), dtype=np.int64).reshape(-1, 2),
+              "keyword": np.stack([u.keyword for u in corpus.utterances], dtype="<f4"),
+              "query": np.stack([u.query for u in corpus.utterances], dtype="<f4")}
+    path = os.path.join(directory, CORPUS_FILE)
+    partial = path + ".partial"
+    try:
+        with open(partial, "wb") as f:
+            np.savez(f, **arrays)
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 def load_corpus(directory: str) -> Corpus:
-    meta_path = os.path.join(directory, "corpus.meta")
-    if not os.path.exists(meta_path):
-        raise ValidationError(f"no corpus.meta in {directory}")
+    path = os.path.join(directory, CORPUS_FILE)
     types = {f.name: type(f.default) for f in fields(CorpusSpec) if f.name != "utterance_overrides"}
-    values, overrides = {}, {}
-    with open(meta_path) as f:
-        for lineno, line in enumerate(f, 1):
-            key, _, text = line.strip().partition("=")
-            try:
-                if key.startswith("override_"):
-                    overrides[int(key[len("override_"):])] = int(text)
-                elif key in types:
-                    values[key] = types[key](text)
-            except ValueError:
-                raise ValidationError(f"{meta_path}:{lineno}: bad line {line.strip()!r}") from None
-    missing = [key for key in types if key not in values]
-    if missing:
-        raise ValidationError(f"{meta_path}: missing {', '.join(missing)}")
-    spec = CorpusSpec(**values, utterance_overrides=overrides)
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {key: data[key] for key in (*types, "utterance_overrides", "keyword", "query")}
+    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"{path}: not a readable corpus ({exc})") from None
+    for key, kind in types.items():
+        if arrays[key].shape != () or arrays[key].dtype.kind != ("i" if kind is int else "f"):
+            raise ValidationError(f"{path}: {key} must be a single {kind.__name__}")
+    overrides = arrays["utterance_overrides"]
+    if overrides.ndim != 2 or overrides.shape[1] != 2 or overrides.dtype.kind != "i":
+        raise ValidationError(f"{path}: utterance_overrides must be (language, count) int rows")
+    spec = CorpusSpec(**{key: arrays[key].item() for key in types},
+                      utterance_overrides=dict(overrides.tolist()))
     try:
         spec.validate()
     except ValidationError as exc:
-        raise ValidationError(f"{meta_path}: {exc}") from None
-
-    def features(uid: str, kind: str, frames: int) -> np.ndarray:
-        path = os.path.join(directory, f"{uid}.{kind}.feat")
-        arr = read_feature_file(path)
-        if arr.shape != (frames, spec.feature_dim):
-            raise ValidationError(f"feature file {path}: shape {arr.shape} does not match corpus.meta")
-        return arr
-
-    utterances = []
-    for lang in range(spec.languages):
-        for spk in range(spec.speakers_per_language):
-            for utt in range(spec.utterances_for(lang)):
-                uid = utterance_id(lang, spk, utt)
-                utterances.append(Utterance(
-                    utterance_id=uid,
-                    speaker_id=speaker_id(lang, spk),
-                    language_id=lang,
-                    keyword=features(uid, "kw", spec.keyword_frames),
-                    query=features(uid, "q", spec.query_frames),
-                ))
-    return Corpus(spec=spec, utterances=utterances)
+        raise ValidationError(f"{path}: {exc}") from None
+    # override languages are distinct and in range once the spec validates
+    count = spec.speakers_per_language * (sum(spec.utterance_overrides.values()) + (
+        spec.languages - len(spec.utterance_overrides)) * spec.utterances_per_speaker)
+    for kind, frames in (("keyword", spec.keyword_frames), ("query", spec.query_frames)):
+        arr, shape = arrays[kind], (count, frames, spec.feature_dim)
+        if arr.dtype != np.dtype("<f4") or arr.shape != shape:
+            raise ValidationError(
+                f"{path}: {kind} must be <f4 of shape {shape}, got {arr.dtype.str} {arr.shape}")
+    keys = ((lang, spk, utt) for lang in range(spec.languages)
+            for spk in range(spec.speakers_per_language) for utt in range(spec.utterances_for(lang)))
+    return Corpus(spec=spec, utterances=[
+        Utterance(utterance_id(*key), speaker_id(*key[:2]), key[0], keyword, query)
+        for key, keyword, query in zip(keys, arrays["keyword"], arrays["query"])])
 
 
 def save_trials(trials: TrialList, path: str) -> None:
@@ -346,17 +308,15 @@ def save_trials(trials: TrialList, path: str) -> None:
 
 def load_trials(path: str, corpus: Corpus) -> TrialList:
     trials = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4 or parts[3] not in ("tgt", "non"):
-                raise ValidationError(f"{path}:{lineno}: malformed trial line")
-            trial = Trial(parts[0], tuple(parts[1].split(",")), parts[2], parts[3] == "tgt")
-            for uid in (*trial.enroll_utterance_ids, trial.test_utterance_id):
-                if uid not in corpus._by_id:
-                    raise ValidationError(f"{path}:{lineno}: unknown utterance id {uid!r}")
-            trials.append(trial)
+    for lineno, line in enumerate(errors.read_text(path).split("\n"), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4 or parts[3] not in ("tgt", "non"):
+            raise ValidationError(f"{path}:{lineno}: malformed trial line")
+        trial = Trial(parts[0], tuple(parts[1].split(",")), parts[2], parts[3] == "tgt")
+        for uid in (*trial.enroll_utterance_ids, trial.test_utterance_id):
+            if uid not in corpus._by_id:
+                raise ValidationError(f"{path}:{lineno}: unknown utterance id {uid!r}")
+        trials.append(trial)
     return TrialList(trials)

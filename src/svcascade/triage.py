@@ -14,11 +14,13 @@ scores that every empty band leaves.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import errors
 from .errors import DependencyError, ValidationError
 from .fusion import FusionWeight
 from .metrics import compute_eer, far_frr_from_counts, interpolate_eer
@@ -57,6 +59,16 @@ class CostModel:
             raise ValidationError("cost model durations must be positive")
         if self.td_flops < 0 or self.ti_flops < 0:
             raise ValidationError("cost model flop counts must be nonnegative")
+
+    def expected(self, rate: float) -> tuple[float, float]:
+        """(seconds, flops) per decision at a trigger rate, assuming an
+        immediate system response: the keyword and the TD model always run,
+        the query and the TI model only on trigger."""
+        self.validate()
+        if not (0.0 <= rate <= 1.0):
+            raise ValidationError(f"trigger rate must be in [0, 1], got {rate}")
+        return (self.keyword_seconds + rate * self.query_seconds,
+                self.td_flops + rate * self.ti_flops)
 
 
 def in_band(td, lower: float, upper: float):
@@ -104,22 +116,6 @@ def trigger_rate(triggered: np.ndarray, labels: np.ndarray, prior: float) -> flo
             raise ValidationError("prior < 1 needs nontarget trials in the set")
         rate += (1.0 - prior) * triggered[~labels].mean()
     return float(rate)
-
-
-def expected_latency(rate: float, cost: CostModel) -> float:
-    """Seconds until a verification decision, assuming an immediate system
-    response: the keyword is always consumed, the query only on trigger."""
-    cost.validate()
-    if not (0.0 <= rate <= 1.0):
-        raise ValidationError(f"trigger rate must be in [0, 1], got {rate}")
-    return cost.keyword_seconds + rate * cost.query_seconds
-
-
-def expected_flops(rate: float, cost: CostModel) -> float:
-    cost.validate()
-    if not (0.0 <= rate <= 1.0):
-        raise ValidationError(f"trigger rate must be in [0, 1], got {rate}")
-    return cost.td_flops + rate * cost.ti_flops
 
 
 @dataclass(frozen=True)
@@ -319,19 +315,18 @@ def load_heatmap_csv(path: str) -> PriorPoint:
     """The best band of a heat map: lowest EER, then lowest trigger rate
     (prior 0.5, as the heat map stores it), then lowest band."""
     best = None
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        if next(reader, None) != ["lower", "upper", "eer", "trigger_rate"]:
-            raise DependencyError(f"{path} is not a heat map; run `svcascade triage-sweep`")
-        for row in reader:
-            try:
-                lower, upper, eer, rate = (float(v) for v in row)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{reader.line_num}: expected four numbers "
-                    "(lower, upper, eer, trigger_rate)") from None
-            if best is None or (eer, rate, lower, upper) < best:
-                best = (eer, rate, lower, upper)
+    reader = csv.reader(io.StringIO(errors.read_text(path)))
+    if next(reader, None) != ["lower", "upper", "eer", "trigger_rate"]:
+        raise DependencyError(f"{path} is not a heat map; run `svcascade triage-sweep`")
+    for row in reader:
+        try:
+            lower, upper, eer, rate = (float(v) for v in row)
+        except ValueError:
+            raise ValidationError(
+                f"{path}:{reader.line_num}: expected four numbers "
+                "(lower, upper, eer, trigger_rate)") from None
+        if best is None or (eer, rate, lower, upper) < best:
+            best = (eer, rate, lower, upper)
     if best is None:
         raise DependencyError(f"{path} is empty; run `svcascade triage-sweep`")
     eer, rate, lower, upper = best

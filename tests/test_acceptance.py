@@ -36,8 +36,8 @@ def test_criterion_1_parameter_counts():
 def test_criterion_2_latency_model():
     cost = triage.CostModel(keyword_seconds=0.7, query_seconds=3.0,
                             td_flops=0, ti_flops=0)
-    latency = triage.expected_latency(0.27, cost)
-    always = triage.expected_latency(1.0, cost)
+    latency, _ = cost.expected(0.27)
+    always, _ = cost.expected(1.0)
     savings = always - latency
     report(f"latency model (latency={latency:.4f}s, savings={savings:.4f}s)",
            abs(latency - 1.51) <= 0.01 and abs(savings - 2.19) <= 0.01)

@@ -178,6 +178,16 @@ GOOD_ARTIFACTS = {
     pytest.param("corpus/trials_lang1.tsv", "l1s0\tl1s0u0,l1s0u1\tl1s0u2\ttgt\n"
                  "l1s0\tl1s0u0,l9s9u9\tl1s1u2\tnon\n",
                  "xeval", "trials_lang1.tsv:2", id="trials-unknown-enroll-id"),
+    pytest.param("exp.cfg", b"corpus.languages = 2\n\xff\n",
+                 "gen-data", "exp.cfg:2", id="config-not-utf8"),
+    pytest.param("scores/scores.tsv", b"s0\tu0\ttgt\t0.9\t0.8\ns0\tu1\tnon\t0.1\t0.2\xff\n",
+                 "eval", "scores.tsv:2", id="scores-not-utf8"),
+    pytest.param("corpus/trials.tsv", b"l0s0\tl0s0u0,l0s0u1\tl0s0u2\ttgt\n\xff\n",
+                 "score", "trials.tsv:2", id="trials-not-utf8"),
+    pytest.param("reports/fusion_sweep.csv", b"alpha,eer\n0.0,0.1\n\xff,0.5\n",
+                 "triage-sweep", "fusion_sweep.csv:3", id="sweep-not-utf8"),
+    pytest.param("reports/heatmap.csv", b"lower,upper,eer,trigger_rate\n\xff\n",
+                 "report", "heatmap.csv:2", id="heatmap-not-utf8"),
 ])
 def test_bad_artifact_names_file_and_line(tmp_path, capsys, rel, text, command, where):
     cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path))
@@ -185,7 +195,7 @@ def test_bad_artifact_names_file_and_line(tmp_path, capsys, rel, text, command, 
         assert cli.run("gen-data", str(cfg_path)) == 0
     for name, content in {**GOOD_ARTIFACTS, rel: text}.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
-        (tmp_path / name).write_text(content)
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
     assert cli.run(command, str(cfg_path)) == 1
     assert where in capsys.readouterr().err
 
@@ -202,7 +212,7 @@ def pipeline(tmp_path_factory):
 
 def test_pipeline_artifacts_exist(pipeline):
     expected = [
-        "corpus/corpus.meta", "corpus/trials.tsv", "corpus/trials_lang0.tsv",
+        "corpus/corpus.npz", "corpus/trials.tsv", "corpus/trials_lang0.tsv",
         "corpus/trials_lang1.tsv", "checkpoints/td.ckpt", "checkpoints/ti.ckpt",
         "checkpoints/loss_td.csv", "checkpoints/loss_ti.csv",
         "scores/scores.tsv", "scores/triaged.tsv", "reports/fusion_sweep.csv",

@@ -1,12 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
-from svcascade import synthcorpus
 from svcascade.errors import CapacityError, ValidationError
 from svcascade.synthcorpus import (
-    Corpus, CorpusSpec, TrialList, generate_corpus, load_corpus, load_trials,
-    read_feature_file, save_corpus, save_trials, split_trials,
-    write_feature_file)
+    CORPUS_FILE, CorpusSpec, generate_corpus, load_corpus, load_trials, save_corpus,
+    save_trials, split_trials)
 
 
 def small_spec(**kwargs):
@@ -113,70 +113,69 @@ def test_capacity_error_names_shortfall():
 
 
 def test_corpus_roundtrip_bytes(tmp_path):
-    corpus = generate_corpus(small_spec())
+    corpus = generate_corpus(small_spec(utterance_overrides={1: 2}))
     d1, d2 = tmp_path / "a", tmp_path / "b"
     save_corpus(corpus, str(d1))
-    save_corpus(generate_corpus(small_spec()), str(d2))
-    for f in sorted(p.name for p in d1.iterdir()):
-        assert (d1 / f).read_bytes() == (d2 / f).read_bytes()
+    save_corpus(generate_corpus(small_spec(utterance_overrides={1: 2})), str(d2))
+    assert sorted(os.listdir(d1)) == [CORPUS_FILE]
+    assert (d1 / CORPUS_FILE).read_bytes() == (d2 / CORPUS_FILE).read_bytes()
     loaded = load_corpus(str(d1))
     assert loaded.spec == corpus.spec
+    assert loaded.spec.utterance_overrides == {1: 2}
+    assert len(loaded.utterances) == len(corpus.utterances)
     for a, b in zip(loaded.utterances, corpus.utterances):
-        assert a.utterance_id == b.utterance_id
+        assert (a.utterance_id, a.speaker_id, a.language_id) == (
+            b.utterance_id, b.speaker_id, b.language_id)
         assert np.array_equal(a.keyword, b.keyword)
         assert np.array_equal(a.query, b.query)
 
 
-def _edit_meta(old, new):
+def _rewrite(**members):
+    """An edit that saves the corpus again with `members` replaced; None drops one."""
     def edit(d):
-        meta = d / "corpus.meta"
-        meta.write_text(meta.read_text().replace(old, new))
+        path = d / CORPUS_FILE
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays.update(members)
+        np.savez(path, **{key: a for key, a in arrays.items() if a is not None})
     return edit
 
 
 @pytest.mark.parametrize("edit, where", [
-    pytest.param(lambda d: (d / "corpus.meta").write_text(""), r"corpus\.meta: missing languages",
-                 id="meta-empty"),
-    pytest.param(_edit_meta("seed=7\n", ""), r"corpus\.meta: missing seed", id="meta-field-missing"),
-    pytest.param(_edit_meta("languages=2", "languages=two"), r"corpus\.meta:1: ",
-                 id="meta-non-numeric"),
-    pytest.param(_edit_meta("feature_dim=6", "feature_dim=0"), r"corpus\.meta: .*feature_dim",
-                 id="meta-invalid-spec"),
-    pytest.param(lambda d: (d / "l0s0u0.kw.feat").unlink(), r"l0s0u0\.kw\.feat", id="feat-missing"),
-    pytest.param(lambda d: (d / "l0s0u1.q.feat").write_bytes(b"\0\0"), r"l0s0u1\.q\.feat",
-                 id="feat-truncated"),
-    pytest.param(lambda d: write_feature_file(str(d / "l1s2u3.kw.feat"), np.zeros((3, 6))),
-                 r"l1s2u3\.kw\.feat: shape", id="feat-shape"),
+    pytest.param(lambda d: (d / CORPUS_FILE).unlink(), "No such file", id="file-missing"),
+    pytest.param(lambda d: (d / CORPUS_FILE).write_text("languages=2\n"), "not a readable",
+                 id="not-a-zip"),
+    pytest.param(lambda d: (d / CORPUS_FILE).write_bytes((d / CORPUS_FILE).read_bytes()[:900]),
+                 "not a zip file", id="truncated"),
+    pytest.param(_rewrite(query=None), "query", id="member-missing"),
+    pytest.param(_rewrite(keyword=np.zeros((24, 3, 6), np.float32)), "keyword must be",
+                 id="keyword-shape"),
+    pytest.param(_rewrite(query=np.zeros((24, 12, 6))), "query must be <f4", id="query-float64"),
+    pytest.param(_rewrite(keyword=np.array([None, "x"], dtype=object)), "Object arrays",
+                 id="object-array"),
+    pytest.param(_rewrite(feature_dim=np.array(0)), "feature_dim must be a count",
+                 id="feature-dim-zero"),
+    pytest.param(_rewrite(languages=np.array(2.5)), "languages must be a single int",
+                 id="languages-non-integer"),
 ])
 def test_corrupt_corpus_names_path(tmp_path, edit, where):
     save_corpus(generate_corpus(small_spec()), str(tmp_path))
     edit(tmp_path)
-    with pytest.raises(ValidationError, match=where):
+    with pytest.raises(ValidationError, match=rf"corpus\.npz: .*{where}"):
         load_corpus(str(tmp_path))
 
 
-def test_interrupted_save_leaves_no_meta(tmp_path, monkeypatch):
-    written = []
+def test_interrupted_save_leaves_no_corpus(tmp_path, monkeypatch):
+    savez = np.savez
 
-    def write_then_stop(path, frames):
-        if len(written) == 5:
-            raise KeyboardInterrupt
-        written.append(path)
-        write_feature_file(path, frames)
+    def save_some_then_stop(file, **arrays):
+        savez(file, **dict(list(arrays.items())[:3]))
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(synthcorpus, "write_feature_file", write_then_stop)
+    monkeypatch.setattr(np, "savez", save_some_then_stop)
     with pytest.raises(KeyboardInterrupt):
         save_corpus(generate_corpus(small_spec()), str(tmp_path))
-    assert len(written) == 5 and not (tmp_path / "corpus.meta").exists()
-
-
-def test_feature_file_format(tmp_path):
-    arr = np.arange(12, dtype=np.float32).reshape(3, 4)
-    path = tmp_path / "x.feat"
-    write_feature_file(str(path), arr)
-    raw = path.read_bytes()
-    assert raw[:8] == (3).to_bytes(4, "little") + (4).to_bytes(4, "little")
-    assert np.array_equal(read_feature_file(str(path)), arr)
+    assert os.listdir(tmp_path) == []
 
 
 def test_trial_tsv_roundtrip(tmp_path):

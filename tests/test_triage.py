@@ -9,8 +9,8 @@ from svcascade.fusion import FusionWeight, sweep_fusion_weight
 from svcascade.metrics import compute_eer
 from svcascade.scoring import ScoreTable
 from svcascade.triage import (
-    CostModel, Decision, TriagePolicy, apply_triage, band_grid, expected_flops,
-    expected_latency, in_band, prior_sensitivity_curve, sweep_bands, triage_decide, trigger_rate)
+    CostModel, Decision, TriagePolicy, apply_triage, band_grid, in_band,
+    prior_sensitivity_curve, sweep_bands, triage_decide, trigger_rate)
 
 from conftest import interleaved_scores, make_scores
 
@@ -102,15 +102,13 @@ def test_trigger_rate_validates():
 def test_expected_latency_hand_cases():
     cost = CostModel(keyword_seconds=0.7, query_seconds=3.0,
                      td_flops=10, ti_flops=100)
-    assert expected_latency(0.27, cost) == pytest.approx(1.51)
-    assert expected_latency(0.0, cost) == pytest.approx(0.7)
-    assert expected_latency(1.0, cost) == pytest.approx(3.7)
-    assert expected_flops(0.27, cost) == pytest.approx(37.0)
-    assert expected_flops(0.0, cost) == 10.0
+    assert cost.expected(0.27) == pytest.approx((1.51, 37.0))
+    assert cost.expected(0.0) == (pytest.approx(0.7), 10.0)
+    assert cost.expected(1.0) == pytest.approx((3.7, 110.0))
     with pytest.raises(ValidationError):
-        expected_latency(1.2, cost)
+        cost.expected(1.2)
     with pytest.raises(ValidationError):
-        expected_latency(0.5, CostModel(0.0, 3.0, 1, 1))
+        CostModel(0.0, 3.0, 1, 1).expected(0.5)
 
 
 def random_scores(seed, n=60):
