@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import dvector, fusion, ge2e, metrics, scoring, synthcorpus, triage
+from . import dvector, errors, fusion, ge2e, metrics, scoring, synthcorpus, triage
 from .config import ExperimentConfig, parse_config
 from .errors import DependencyError, ToolError
 from .fusion import FusionWeight
@@ -108,6 +108,8 @@ def cmd_triage_sweep(cfg: ExperimentConfig) -> None:
     os.makedirs(cfg.report_dir, exist_ok=True)
     cells = triage.sweep_bands(scores, cfg.band_min, cfg.band_max, cfg.band_step, alpha)
     triage.save_heatmap_csv(os.path.join(cfg.report_dir, "heatmap.csv"), cells)
+    triage.save_heatmap_csv(os.path.join(cfg.report_dir, "frontier.csv"),
+                            triage.pareto_frontier(cells))
     points = triage.prior_sensitivity_curve(cells, cfg.priors)
     triage.save_prior_curve_csv(os.path.join(cfg.report_dir, "prior_curve.csv"), points)
 
@@ -117,7 +119,7 @@ def cmd_triage_apply(cfg: ExperimentConfig) -> None:
     policy = triage.TriagePolicy(cfg.triage_lower, cfg.triage_upper, _resolve_alpha(cfg))
     final, triggered = triage.apply_triage(scores, policy)
     os.makedirs(cfg.score_dir, exist_ok=True)
-    with open(os.path.join(cfg.score_dir, "triaged.tsv"), "w") as f:
+    with errors.write_atomic(os.path.join(cfg.score_dir, "triaged.tsv")) as f:
         for speaker, utt, target, score, trig in zip(
                 scores.speakers, scores.utterances, scores.labels.tolist(),
                 final.tolist(), triggered.tolist()):
@@ -129,7 +131,7 @@ def cmd_eval(cfg: ExperimentConfig) -> None:
     scores = _load_scores(cfg)
     labels = scores.labels
     os.makedirs(cfg.report_dir, exist_ok=True)
-    with open(os.path.join(cfg.report_dir, "eval.csv"), "w", newline="") as f:
+    with errors.write_atomic(os.path.join(cfg.report_dir, "eval.csv")) as f:
         writer = csv.writer(f)
         writer.writerow(["system", "eer_percent", "threshold", "targets", "nontargets"])
         for system, column in (("td", scores.td), ("ti", scores.ti)):
@@ -197,7 +199,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         "expected_flops=%.1f" % flops,
     ]
     os.makedirs(cfg.report_dir, exist_ok=True)
-    with open(os.path.join(cfg.report_dir, "report.txt"), "w") as f:
+    with errors.write_atomic(os.path.join(cfg.report_dir, "report.txt")) as f:
         f.write("\n".join(lines) + "\n")
 
 

@@ -16,8 +16,7 @@ outside the time loop.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,7 +32,7 @@ class NetworkSpec:
     output_dim: int
 
     def validate(self) -> None:
-        for name in ("input_dim", "num_layers", "cells", "projection_dim", "output_dim"):
+        for name in SPEC_FIELDS:
             value = getattr(self, name)
             if int(value) != value or value < 1:
                 raise ValidationError(f"network spec: {name} must be a positive count, got {value}")
@@ -45,6 +44,8 @@ class NetworkSpec:
     def layer_input_dim(self, layer: int) -> int:
         return self.input_dim if layer == 0 else self.projection_dim
 
+
+SPEC_FIELDS = tuple(f.name for f in fields(NetworkSpec))  # also a checkpoint's spec members
 
 # production-size configurations
 TD_SPEC = NetworkSpec(input_dim=80, num_layers=3, cells=128, projection_dim=64, output_dim=64)
@@ -296,93 +297,42 @@ def flops_per_utterance(spec: NetworkSpec, num_frames: int) -> int:
 
 # --- checkpoint persistence -------------------------------------------------
 
-CHECKPOINT_VERSION = 2
-_FORMAT_ROWS = 256  # rows per %-format call; bounds its temporary tuple and string
-
 
 def save_checkpoint(path: str, params: Parameters) -> None:
-    """Writes one text block per parameter at float32 precision ("%.9g"
-    round-trips float32 exactly).  A value that is not finite at float32
-    (NaN, inf, or beyond float32 max) raises NumericError naming its block
-    before any file is written."""
-    spec = params.spec
-    blocks = {}
-    for name in param_names(spec):
-        with np.errstate(over="ignore"):
-            arr = np.atleast_2d(np.asarray(params[name], dtype=np.float64)).astype(np.float32)
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"{path}: block {name} is not finite at float32; nothing written")
-        blocks[name] = arr
-    with open(path, "w") as f:
-        f.write(f"format {CHECKPOINT_VERSION}\n")
-        f.write(f"spec input_dim={spec.input_dim} num_layers={spec.num_layers} "
-                f"cells={spec.cells} projection_dim={spec.projection_dim} "
-                f"output_dim={spec.output_dim}\n")
-        for name, arr in blocks.items():
-            rows, cols = arr.shape
-            f.write(f"{name} {rows} {cols}\n")
-            row_format = " ".join(["%.9g"] * cols) + "\n"
-            for start in range(0, rows, _FORMAT_ROWS):
-                chunk = arr[start:start + _FORMAT_ROWS]
-                f.write(row_format * len(chunk) % tuple(chunk.ravel().tolist()))
+    """One uncompressed npz: each spec field as a 0-d int64 array and each
+    parameter as a <f8 array under its canonical name, so a load gives back
+    exactly the saved values.  It is written under a temporary name and
+    renamed; a NaN or inf raises NumericError naming its parameter before
+    any file is written."""
+    arrays = {name: np.array(getattr(params.spec, name), dtype=np.int64) for name in SPEC_FIELDS}
+    for name in param_names(params.spec):
+        arrays[name] = np.asarray(params[name], dtype="<f8")
+        if not np.all(np.isfinite(arrays[name])):
+            raise NumericError(f"{path}: parameter {name} is not finite; nothing written")
+    errors.write_npz(path, arrays)
 
 
 def load_checkpoint(path: str) -> Parameters:
-    """Reads save_checkpoint's format, one block per parse; a malformed,
-    truncated, non-numeric or non-UTF-8 line is a ValidationError naming
-    path:line."""
-
-    def bad(lineno: int, what: str) -> ValidationError:
-        return ValidationError(f"{path}:{lineno}: {what}")
-
-    lines = errors.read_text(path).splitlines()
-    head = lines[0].split() if lines else []
-    if len(head) != 2 or head[0] != "format":
-        raise bad(1, "missing checkpoint format line")
-    if head[1] != str(CHECKPOINT_VERSION):
-        raise bad(1, f"unsupported checkpoint format {head[1]}")
+    """Reads save_checkpoint's npz; an unreadable file, a missing or unknown
+    member, or a spec field or parameter of the wrong type, shape or value
+    is a ValidationError naming the file."""
+    arrays = errors.read_npz(path, "checkpoint")
+    for name in SPEC_FIELDS:
+        if name not in arrays or arrays[name].shape != () or arrays[name].dtype.kind != "i":
+            raise ValidationError(f"{path}: spec field {name} must be a single int")
+    spec = NetworkSpec(**{name: arrays[name].item() for name in SPEC_FIELDS})
     try:
-        fields = lines[1].split()
-        if fields[0] != "spec":
-            raise ValueError
-        spec = NetworkSpec(**{k: int(v) for k, v in (item.split("=") for item in fields[1:])})
         spec.validate()
-    except (IndexError, ValueError, TypeError):
-        raise bad(2, "missing or malformed spec line") from None
-    except ValidationError as e:
-        raise bad(2, str(e)) from None
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     shapes = param_shapes(spec)
-    values: dict[str, np.ndarray] = {}
-    pos = 2  # index of the next block header
-    for name in param_names(spec):
-        rows, cols = ((1, 1) + shapes[name])[-2:]  # save_checkpoint's atleast_2d
-        header = f"{name} {rows} {cols}"
-        if pos >= len(lines) or lines[pos].split() != header.split():
-            raise bad(pos + 1, f"expected block header '{header}'")
-        if pos + rows >= len(lines):
-            raise bad(len(lines), f"block {name} truncated: {len(lines) - pos - 1} of {rows} rows")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # all-blank body: fails the shape test
-                block = np.loadtxt(lines[pos + 1:pos + rows + 1], dtype=np.float64,
-                                   ndmin=2, comments=None)
-        except ValueError:
-            block = None
-        if block is None or block.shape != (rows, cols) or not np.all(np.isfinite(block)):
-            # Diagnosis: the per-row reader raises at the first bad line.  It
-            # also loads the few tokens float() takes and loadtxt does not (1_0).
-            block = []
-            for lineno in range(pos + 2, pos + rows + 2):
-                try:
-                    row = np.array(lines[lineno - 1].split(), dtype=np.float64)
-                except ValueError:
-                    raise bad(lineno, f"non-numeric value in block {name}") from None
-                if row.shape != (cols,) or not np.all(np.isfinite(row)):
-                    raise bad(lineno, f"block {name} needs {cols} finite numbers per row")
-                block.append(row)
-        values[name] = np.asarray(block).reshape(shapes[name])
-        pos += rows + 1
-    for lineno in range(pos + 1, len(lines) + 1):
-        if lines[lineno - 1].strip():
-            raise bad(lineno, "unexpected data after the last block")
-    return Parameters(spec, values)
+    names = {*SPEC_FIELDS, *shapes}
+    if arrays.keys() != names:
+        raise ValidationError(f"{path}: missing members {sorted(names - arrays.keys())}, "
+                              f"unknown members {sorted(arrays.keys() - names)}")
+    for name, shape in shapes.items():
+        value = arrays[name]
+        if value.dtype != np.dtype("<f8") or value.shape != shape or not np.all(np.isfinite(value)):
+            raise ValidationError(f"{path}: parameter {name} must be finite <f8 of shape {shape}, "
+                                  f"got {value.dtype.str} {value.shape}")
+    return Parameters(spec, {name: arrays[name] for name in param_names(spec)})

@@ -1,9 +1,16 @@
-"""Exception hierarchy shared across the toolkit, and the text reader
-every artifact and config reader uses to name undecodable bytes.
+"""Exception hierarchy shared across the toolkit, and the file I/O every
+artifact goes through: one atomic writer, the npz writer and reader built
+on it, and the text reader that names undecodable bytes.
 
 Exit-code mapping for the CLI: validation problems are 1, missing
 prerequisite artifacts are 2, numeric failures are 3.
 """
+
+import contextlib
+import os
+import zipfile
+
+import numpy as np
 
 
 class ToolError(Exception):
@@ -42,3 +49,40 @@ def read_text(path: str) -> str:
         # read() decodes the whole file at once, so e.object is all of it
         line = len((e.object[:e.start].decode("utf-8") + "?").splitlines())
         raise ValidationError(f"{path}:{line}: not UTF-8 text") from None
+
+
+@contextlib.contextmanager
+def write_atomic(path: str, binary: bool = False):
+    """A file opened at path + ".partial", as bytes or as UTF-8 text without
+    newline translation, and renamed to `path` when the block ends.  If the
+    block raises, the partial file is removed and `path` is left untouched."""
+    partial = path + ".partial"
+    try:
+        with (open(partial, "wb") if binary
+              else open(partial, "w", encoding="utf-8", newline="")) as f:
+            yield f
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+
+
+def write_npz(path: str, arrays: dict[str, np.ndarray]) -> None:
+    """One uncompressed npz of `arrays`, written atomically."""
+    with write_atomic(path, binary=True) as f:
+        np.savez(f, **arrays)
+
+
+def read_npz(path: str, what: str) -> dict[str, np.ndarray]:
+    """Every member of the npz at `path`; a missing or unreadable file (not a
+    zip, truncated, bad CRC, bad npy header, object array) is a
+    ValidationError naming `path` as not a readable `what`."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {key: data[key] for key in data.files}
+    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"{path}: not a readable {what} ({exc})") from None
+    for key, value in arrays.items():
+        if not isinstance(value, np.ndarray):  # np.load returns a non-npy member as bytes
+            raise ValidationError(f"{path}: member {key} of the {what} is not an array")
+    return arrays

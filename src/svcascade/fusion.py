@@ -54,7 +54,7 @@ def sweep_fusion_weight(scores: ScoreTable, grid_step: float = 0.01) -> FusionSw
 
 
 def save_sweep_csv(path: str, result: FusionSweepResult) -> None:
-    with open(path, "w", newline="") as f:
+    with errors.write_atomic(path) as f:
         writer = csv.writer(f)
         writer.writerow(["alpha", "eer"])
         for alpha, eer in result.table:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dvector
+from . import dvector, errors
 from .errors import CapacityError, NumericError, ValidationError
 from .synthcorpus import Corpus
 
@@ -328,7 +328,7 @@ def train(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
 
 
 def save_loss_trace(path: str, trace: list[tuple[int, float, int]]) -> None:
-    with open(path, "w", newline="") as f:
+    with errors.write_atomic(path) as f:
         writer = csv.writer(f)
         writer.writerow(["step", "loss", "language"])
         for step, loss, lang in trace:

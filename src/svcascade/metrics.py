@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import ValidationError
 
 
@@ -114,7 +115,7 @@ def cross_eval_matrix(models, eval_sets, scorer) -> list[MatrixCell]:
 
 
 def save_matrix_csv(path: str, cells: list[MatrixCell]) -> None:
-    with open(path, "w", newline="") as f:
+    with errors.write_atomic(path) as f:
         writer = csv.writer(f)
         writer.writerow(["model", "train_lang", "system", "eval_lang",
                          "eer_percent", "cross_lingual"])

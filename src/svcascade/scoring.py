@@ -117,7 +117,7 @@ def save_scores(path: str, scores: ScoreTable) -> None:
     """TSV: enroll_speaker, test_utt, label, td_score, ti_score with fixed
     9-decimal formatting for bit-reproducible reports."""
     ti = [None] * len(scores.td) if scores.ti is None else scores.ti.tolist()
-    with open(path, "w") as f:
+    with errors.write_atomic(path) as f:
         for speaker, utt, target, td_score, ti_score in zip(
                 scores.speakers, scores.utterances, scores.labels.tolist(),
                 scores.td.tolist(), ti):

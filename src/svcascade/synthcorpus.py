@@ -16,7 +16,6 @@ order is fixed (languages, then speakers, then utterances) so equal
 from __future__ import annotations
 
 import os
-import zipfile
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -252,25 +251,17 @@ def save_corpus(corpus: Corpus, directory: str) -> None:
                   sorted(spec.utterance_overrides.items()), dtype=np.int64).reshape(-1, 2),
               "keyword": np.stack([u.keyword for u in corpus.utterances], dtype="<f4"),
               "query": np.stack([u.query for u in corpus.utterances], dtype="<f4")}
-    path = os.path.join(directory, CORPUS_FILE)
-    partial = path + ".partial"
-    try:
-        with open(partial, "wb") as f:
-            np.savez(f, **arrays)
-        os.replace(partial, path)
-    finally:
-        if os.path.exists(partial):
-            os.remove(partial)
+    errors.write_npz(os.path.join(directory, CORPUS_FILE), arrays)
 
 
 def load_corpus(directory: str) -> Corpus:
     path = os.path.join(directory, CORPUS_FILE)
     types = {f.name: type(f.default) for f in fields(CorpusSpec) if f.name != "utterance_overrides"}
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {key: data[key] for key in (*types, "utterance_overrides", "keyword", "query")}
-    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
-        raise ValidationError(f"{path}: not a readable corpus ({exc})") from None
+    arrays = errors.read_npz(path, "corpus")
+    names = {*types, "utterance_overrides", "keyword", "query"}
+    if arrays.keys() != names:
+        raise ValidationError(f"{path}: missing members {sorted(names - arrays.keys())}, "
+                              f"unknown members {sorted(arrays.keys() - names)}")
     for key, kind in types.items():
         if arrays[key].shape != () or arrays[key].dtype.kind != ("i" if kind is int else "f"):
             raise ValidationError(f"{path}: {key} must be a single {kind.__name__}")
@@ -299,7 +290,7 @@ def load_corpus(directory: str) -> Corpus:
 
 
 def save_trials(trials: TrialList, path: str) -> None:
-    with open(path, "w") as f:
+    with errors.write_atomic(path) as f:
         for t in trials:
             label = "tgt" if t.is_target else "non"
             f.write(f"{t.enroll_speaker_id}\t{','.join(t.enroll_utterance_ids)}\t"

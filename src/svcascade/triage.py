@@ -294,8 +294,18 @@ def prior_sensitivity_curve(cells: list[BandCell], priors: list[float]) -> list[
             for c in cells for p in priors]
 
 
+def pareto_frontier(cells: list[BandCell]) -> list[BandCell]:
+    """The (trigger rate, EER) trade-off: the cells, in order of (trigger
+    rate, EER), whose EER is below that of every cell before them."""
+    frontier: list[BandCell] = []
+    for cell in sorted(cells, key=lambda c: (c.trigger_rate, c.eer)):
+        if not frontier or cell.eer < frontier[-1].eer:
+            frontier.append(cell)
+    return frontier
+
+
 def save_heatmap_csv(path: str, cells: list[BandCell]) -> None:
-    with open(path, "w", newline="") as f:
+    with errors.write_atomic(path) as f:
         writer = csv.writer(f)
         writer.writerow(["lower", "upper", "eer", "trigger_rate"])
         for cell in cells:
@@ -304,7 +314,7 @@ def save_heatmap_csv(path: str, cells: list[BandCell]) -> None:
 
 
 def save_prior_curve_csv(path: str, points: list[PriorPoint]) -> None:
-    with open(path, "w", newline="") as f:
+    with errors.write_atomic(path) as f:
         writer = csv.writer(f)
         writer.writerow(["prior", "trigger_rate", "eer"])
         for pt in points:

@@ -1,6 +1,7 @@
 import csv
 import os
 
+import numpy as np
 import pytest
 
 from svcascade import cli
@@ -159,6 +160,13 @@ GOOD_ARTIFACTS = {
 }
 
 
+def _add_member(path):
+    with np.load(path) as data:
+        arrays = dict(data)
+    with open(path, "wb") as f:
+        np.savez(f, **arrays, notes=np.zeros(1))
+
+
 @pytest.mark.parametrize("rel, text, command, where", [
     pytest.param("scores/scores.tsv", "s0\tu0\ttgt\t0.9\t0.8\ns0\tu1\tnon\tlow\t0.2\n",
                  "eval", "scores.tsv:2", id="scores-non-numeric"),
@@ -188,16 +196,33 @@ GOOD_ARTIFACTS = {
                  "triage-sweep", "fusion_sweep.csv:3", id="sweep-not-utf8"),
     pytest.param("reports/heatmap.csv", b"lower,upper,eer,trigger_rate\n\xff\n",
                  "report", "heatmap.csv:2", id="heatmap-not-utf8"),
+    pytest.param("checkpoints/td.ckpt", "format 2\nspec input_dim=16 num_layers=3 cells=16 "
+                 "projection_dim=8 output_dim=8\nlayer0/w 64 24\n",
+                 "score", "td.ckpt: not a readable checkpoint", id="checkpoint-text-format"),
+    pytest.param("checkpoints/ti.ckpt", lambda p: p.write_bytes(p.read_bytes()[:5000]),
+                 "score", "ti.ckpt: not a readable checkpoint", id="checkpoint-truncated"),
+    pytest.param("checkpoints/ti.ckpt", _add_member, "score",
+                 "ti.ckpt: missing members [], unknown members ['notes']",
+                 id="checkpoint-unknown-member"),
 ])
 def test_bad_artifact_names_file_and_line(tmp_path, capsys, rel, text, command, where):
+    """`text` replaces the artifact, or, if callable, edits the one that the
+    pipeline wrote."""
     cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path))
-    if rel.startswith("corpus/"):
+    if rel.startswith(("corpus/", "checkpoints/")):
         assert cli.run("gen-data", str(cfg_path)) == 0
+    if rel.startswith("checkpoints/"):
+        assert cli.run("train", str(cfg_path)) == 0
     for name, content in {**GOOD_ARTIFACTS, rel: text}.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
-        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+        if callable(content):
+            content(tmp_path / name)
+        else:
+            (tmp_path / name).write_bytes(
+                content if isinstance(content, bytes) else content.encode())
     assert cli.run(command, str(cfg_path)) == 1
-    assert where in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -216,11 +241,25 @@ def test_pipeline_artifacts_exist(pipeline):
         "corpus/trials_lang1.tsv", "checkpoints/td.ckpt", "checkpoints/ti.ckpt",
         "checkpoints/loss_td.csv", "checkpoints/loss_ti.csv",
         "scores/scores.tsv", "scores/triaged.tsv", "reports/fusion_sweep.csv",
-        "reports/heatmap.csv", "reports/prior_curve.csv", "reports/eval.csv",
-        "reports/report.txt",
+        "reports/heatmap.csv", "reports/frontier.csv", "reports/prior_curve.csv",
+        "reports/eval.csv", "reports/report.txt",
     ]
     for rel in expected:
         assert os.path.exists(os.path.join(pipeline, rel)), rel
+
+
+def test_frontier_is_pareto_front_of_heatmap(pipeline):
+    def rows(name):
+        with open(os.path.join(pipeline, "reports", name), newline="") as f:
+            return list(csv.reader(f))
+    heatmap, frontier = rows("heatmap.csv"), rows("frontier.csv")
+    assert frontier[0] == heatmap[0] == ["lower", "upper", "eer", "trigger_rate"]
+    heatmap, frontier = heatmap[1:], frontier[1:]
+    assert frontier and all(row in heatmap for row in frontier)
+    rates, eers = [float(r[3]) for r in frontier], [float(r[2]) for r in frontier]
+    assert all(a < b for a, b in zip(rates, rates[1:]))
+    assert all(a > b for a, b in zip(eers, eers[1:]))
+    assert eers[-1] == min(float(r[2]) for r in heatmap)
 
 
 def test_report_fields(pipeline):

@@ -4,12 +4,7 @@ import os
 import subprocess
 import sys
 
-import numpy as np
-
 import svcascade
-from svcascade.scoring import save_scores
-
-from conftest import make_scores
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -20,17 +15,6 @@ def run_script(name, *args):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
                           env=env, capture_output=True, text=True, timeout=300)
-
-
-def test_triage_tradeoff_runs(tmp_path):
-    rng = np.random.default_rng(0)
-    scores = make_scores(np.tanh(rng.normal(0.5, 0.3, 40)), np.tanh(rng.normal(0.5, 0.3, 40)),
-                         np.tanh(rng.normal(0.0, 0.3, 40)), np.tanh(rng.normal(0.0, 0.3, 40)))
-    path = tmp_path / "scores.tsv"
-    save_scores(str(path), scores)
-    result = run_script("triage_tradeoff.py", "--scores", str(path), "--band-step", "0.1")
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("trigger_rate\teer")
 
 
 def test_multilingual_table_runs():

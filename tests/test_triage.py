@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,3 +249,22 @@ def test_triage_beats_td_alone_on_trained_scores(scored_trials):
     best = min(cells, key=lambda c: (c.eer, c.trigger_rate))
     assert best.eer <= base + 1e-12
     assert best.trigger_rate < 1.0
+
+
+def test_pareto_frontier_hand_case():
+    def cell(rate, eer):
+        return triage.BandCell(0.0, 0.0, eer, rate, rate)  # trigger rate `rate` at any prior
+    cells = [cell(0.5, 0.1), cell(0.0, 0.3), cell(0.5, 0.2), cell(0.2, 0.3),
+             cell(1.0, 0.1), cell(0.8, 0.05)]
+    assert triage.pareto_frontier(cells) == [cell(0.0, 0.3), cell(0.5, 0.1), cell(0.8, 0.05)]
+
+
+def test_interrupted_text_save_keeps_previous_artifact(tmp_path):
+    path = tmp_path / "heatmap.csv"
+    cells = triage.sweep_bands(interleaved_scores(0), -1.0, 1.0, 0.5, FusionWeight(0.5))
+    triage.save_heatmap_csv(str(path), cells)
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):  # the writer fails at the third row
+        triage.save_heatmap_csv(str(path), cells[:2] + [None] + cells[2:])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["heatmap.csv"]
