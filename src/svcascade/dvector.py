@@ -95,7 +95,9 @@ def param_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
 
 def init_network(spec: NetworkSpec, seed: int) -> Parameters:
     """Glorot-uniform weights (per gate for `w`), zero biases except forget
-    gate (1.0), similarity scale 10 and offset -5."""
+    gate (1.0), similarity scale 10 and offset -5.  The weights are drawn in
+    float64 and rounded to float32 values, so an untrained network is the
+    same one that the float32 text checkpoints of earlier versions held."""
     spec.validate()
     rng = np.random.default_rng(seed)
     c = spec.cells
@@ -104,7 +106,7 @@ def init_network(spec: NetworkSpec, seed: int) -> Parameters:
         if name.endswith(("/w", "/proj")) or name == "out/weight":
             fan_out = c if name.endswith("/w") else shape[0]
             s = np.sqrt(6.0 / (shape[1] + fan_out))
-            values[name] = rng.uniform(-s, s, size=shape)
+            values[name] = rng.uniform(-s, s, size=shape).astype(np.float32).astype(np.float64)
         elif name == "ge2e/scale":
             values[name] = np.array(10.0)
         elif name == "ge2e/offset":
@@ -312,11 +314,9 @@ def save_checkpoint(path: str, params: Parameters) -> None:
     errors.write_npz(path, arrays)
 
 
-def load_checkpoint(path: str) -> Parameters:
-    """Reads save_checkpoint's npz; an unreadable file, a missing or unknown
-    member, or a spec field or parameter of the wrong type, shape or value
-    is a ValidationError naming the file."""
-    arrays = errors.read_npz(path, "checkpoint")
+def _checkpoint_spec(path: str, arrays: dict[str, np.ndarray]) -> NetworkSpec:
+    """The spec stored in a checkpoint's members; a spec field that is not a
+    single int, or an invalid spec, is a ValidationError naming the file."""
     for name in SPEC_FIELDS:
         if name not in arrays or arrays[name].shape != () or arrays[name].dtype.kind != "i":
             raise ValidationError(f"{path}: spec field {name} must be a single int")
@@ -325,12 +325,17 @@ def load_checkpoint(path: str) -> Parameters:
         spec.validate()
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    shapes = param_shapes(spec)
-    names = {*SPEC_FIELDS, *shapes}
-    if arrays.keys() != names:
-        raise ValidationError(f"{path}: missing members {sorted(names - arrays.keys())}, "
-                              f"unknown members {sorted(arrays.keys() - names)}")
-    for name, shape in shapes.items():
+    return spec
+
+
+def load_checkpoint(path: str) -> Parameters:
+    """Reads save_checkpoint's npz; an unreadable file, a missing or unknown
+    member, or a spec field or parameter of the wrong type, shape or value
+    is a ValidationError naming the file."""
+    arrays = errors.read_npz(path, "checkpoint", lambda arrays: (
+        {*SPEC_FIELDS, *param_shapes(_checkpoint_spec(path, arrays))}))
+    spec = _checkpoint_spec(path, arrays)
+    for name, shape in param_shapes(spec).items():
         value = arrays[name]
         if value.dtype != np.dtype("<f8") or value.shape != shape or not np.all(np.isfinite(value)):
             raise ValidationError(f"{path}: parameter {name} must be finite <f8 of shape {shape}, "

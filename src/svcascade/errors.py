@@ -9,6 +9,7 @@ prerequisite artifacts are 2, numeric failures are 3.
 import contextlib
 import os
 import zipfile
+from collections.abc import Callable, Collection
 
 import numpy as np
 
@@ -73,10 +74,13 @@ def write_npz(path: str, arrays: dict[str, np.ndarray]) -> None:
         np.savez(f, **arrays)
 
 
-def read_npz(path: str, what: str) -> dict[str, np.ndarray]:
-    """Every member of the npz at `path`; a missing or unreadable file (not a
-    zip, truncated, bad CRC, bad npy header, object array) is a
-    ValidationError naming `path` as not a readable `what`."""
+def read_npz(path: str, what: str,
+             names: Collection[str] | Callable[[dict], Collection[str]]) -> dict[str, np.ndarray]:
+    """Every member of the npz at `path`, which must hold exactly `names`: a
+    collection, or a function of the members read that returns it.  A missing
+    or unreadable file (not a zip, truncated, bad CRC, bad npy header, object
+    array), a member that is not an array, or a missing or unknown member is
+    a ValidationError naming `path`."""
     try:
         with np.load(path, allow_pickle=False) as data:
             arrays = {key: data[key] for key in data.files}
@@ -85,4 +89,10 @@ def read_npz(path: str, what: str) -> dict[str, np.ndarray]:
     for key, value in arrays.items():
         if not isinstance(value, np.ndarray):  # np.load returns a non-npy member as bytes
             raise ValidationError(f"{path}: member {key} of the {what} is not an array")
+    expected = set(names(arrays) if callable(names) else names)
+    problems = [f"{label} members {sorted(found)}" for label, found in
+                (("missing", expected - arrays.keys()), ("unknown", arrays.keys() - expected))
+                if found]
+    if problems:
+        raise ValidationError(f"{path}: {', '.join(problems)}")
     return arrays

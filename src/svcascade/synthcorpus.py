@@ -257,11 +257,7 @@ def save_corpus(corpus: Corpus, directory: str) -> None:
 def load_corpus(directory: str) -> Corpus:
     path = os.path.join(directory, CORPUS_FILE)
     types = {f.name: type(f.default) for f in fields(CorpusSpec) if f.name != "utterance_overrides"}
-    arrays = errors.read_npz(path, "corpus")
-    names = {*types, "utterance_overrides", "keyword", "query"}
-    if arrays.keys() != names:
-        raise ValidationError(f"{path}: missing members {sorted(names - arrays.keys())}, "
-                              f"unknown members {sorted(arrays.keys() - names)}")
+    arrays = errors.read_npz(path, "corpus", {*types, "utterance_overrides", "keyword", "query"})
     for key, kind in types.items():
         if arrays[key].shape != () or arrays[key].dtype.kind != ("i" if kind is int else "f"):
             raise ValidationError(f"{path}: {key} must be a single {kind.__name__}")

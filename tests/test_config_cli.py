@@ -202,7 +202,7 @@ def _add_member(path):
     pytest.param("checkpoints/ti.ckpt", lambda p: p.write_bytes(p.read_bytes()[:5000]),
                  "score", "ti.ckpt: not a readable checkpoint", id="checkpoint-truncated"),
     pytest.param("checkpoints/ti.ckpt", _add_member, "score",
-                 "ti.ckpt: missing members [], unknown members ['notes']",
+                 "ti.ckpt: unknown members ['notes']",
                  id="checkpoint-unknown-member"),
 ])
 def test_bad_artifact_names_file_and_line(tmp_path, capsys, rel, text, command, where):

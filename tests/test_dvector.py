@@ -71,6 +71,13 @@ def test_init_forget_bias_and_bounds():
     assert float(params["ge2e/offset"]) == -5.0
 
 
+def test_init_weights_are_float32_values():
+    params = init_network(TI_SMALL, seed=4)
+    for name, value in params.values.items():
+        assert value.dtype == np.float64, name
+        assert np.array_equal(value.astype(np.float32).astype(np.float64), value), name
+
+
 def test_output_dim_must_equal_projection_dim():
     with pytest.raises(ValidationError):
         NetworkSpec(16, 3, 32, 16, 8).validate()
@@ -160,22 +167,24 @@ def small_params(draw):
     return Parameters(spec, values)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(small_params())
 def test_checkpoint_equals_reference_on_edge_values(tmp_path_factory, params):
-    """The reference is the saved network itself: a load returns it exactly."""
+    """A round trip on edge values: the reference a load is compared with is
+    the saved network itself, which comes back exactly."""
     assert_roundtrip(tmp_path_factory.mktemp("ckpt") / "m.ckpt", params)
 
 
 @pytest.mark.parametrize("spec", [TD_SPEC, TI_SPEC], ids=["td", "ti"])
 def test_production_checkpoint_equals_reference(tmp_path, spec):
+    """A round trip at production size against the saved network."""
     assert_roundtrip(tmp_path / "m.ckpt", init_network(spec, seed=3))
 
 
 @pytest.mark.parametrize("fraction", [0.0005, 0.01, 0.3, 0.5, 0.97])
 def test_checkpoint_truncation_names_line(tmp_path, fraction):
-    """An npz has no lines, so a checkpoint cut anywhere (in a member's
-    header, its data or the zip directory) is an error naming the file."""
+    """A checkpoint cut anywhere (in a member's header, its data or the zip
+    directory) is an error naming the file; an npz has no line to name."""
     path = tmp_path / "m.ckpt"
     save_checkpoint(str(path), init_network(TD_SMALL, seed=6))
     data = path.read_bytes()
@@ -241,10 +250,13 @@ def _bias_as_raw_bytes(path):
     pytest.param(lambda p: p.write_text("format 2\nspec input_dim=16\n"), "not a readable",
                  id="not-a-zip"),
     pytest.param(_flip_last_value_byte, "Bad CRC", id="bad-crc"),
-    pytest.param(_rewrite(**{"out/bias": None}), r"missing members \['out/bias'\]",
+    pytest.param(_rewrite(**{"out/bias": None}), r"missing members \['out/bias'\]$",
                  id="member-missing"),
-    pytest.param(_rewrite(**{"layer9/w": np.zeros(1)}), r"unknown members \['layer9/w'\]",
+    pytest.param(_rewrite(**{"layer9/w": np.zeros(1)}), r"unknown members \['layer9/w'\]$",
                  id="member-unknown"),
+    pytest.param(_rewrite(**{"out/bias": None, "out/b": np.zeros(8)}),
+                 r"missing members \['out/bias'\], unknown members \['out/b'\]$",
+                 id="member-renamed"),
     pytest.param(_bias_as_raw_bytes, "out/bias of the checkpoint is not an array",
                  id="member-not-npy"),
     pytest.param(_rewrite(**{"layer0/b": np.array([None, "x"], dtype=object)}),

@@ -147,8 +147,8 @@ def _rewrite(**members):
                  id="not-a-zip"),
     pytest.param(lambda d: (d / CORPUS_FILE).write_bytes((d / CORPUS_FILE).read_bytes()[:900]),
                  "not a zip file", id="truncated"),
-    pytest.param(_rewrite(query=None), "query", id="member-missing"),
-    pytest.param(_rewrite(extra=np.zeros(1)), r"unknown members \['extra'\]",
+    pytest.param(_rewrite(query=None), r"missing members \['query'\]$", id="member-missing"),
+    pytest.param(_rewrite(extra=np.zeros(1)), r"unknown members \['extra'\]$",
                  id="member-unknown"),
     pytest.param(_rewrite(keyword=np.zeros((24, 3, 6), np.float32)), "keyword must be",
                  id="keyword-shape"),
