@@ -95,9 +95,7 @@ def param_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
 
 def init_network(spec: NetworkSpec, seed: int) -> Parameters:
     """Glorot-uniform weights (per gate for `w`), zero biases except forget
-    gate (1.0), similarity scale 10 and offset -5.  The weights are drawn in
-    float64 and rounded to float32 values, so an untrained network is the
-    same one that the float32 text checkpoints of earlier versions held."""
+    gate (1.0), similarity scale 10 and offset -5; weights are float32 values."""
     spec.validate()
     rng = np.random.default_rng(seed)
     c = spec.cells
@@ -301,11 +299,9 @@ def flops_per_utterance(spec: NetworkSpec, num_frames: int) -> int:
 
 
 def save_checkpoint(path: str, params: Parameters) -> None:
-    """One uncompressed npz: each spec field as a 0-d int64 array and each
-    parameter as a <f8 array under its canonical name, so a load gives back
-    exactly the saved values.  It is written under a temporary name and
-    renamed; a NaN or inf raises NumericError naming its parameter before
-    any file is written."""
+    """One uncompressed npz, renamed into place: each spec field as a 0-d
+    int64 array and each parameter as exact <f8 under its canonical name.  A
+    NaN or inf is a NumericError naming its parameter, and nothing is written."""
     arrays = {name: np.array(getattr(params.spec, name), dtype=np.int64) for name in SPEC_FIELDS}
     for name in param_names(params.spec):
         arrays[name] = np.asarray(params[name], dtype="<f8")
@@ -314,27 +310,21 @@ def save_checkpoint(path: str, params: Parameters) -> None:
     errors.write_npz(path, arrays)
 
 
-def _checkpoint_spec(path: str, arrays: dict[str, np.ndarray]) -> NetworkSpec:
-    """The spec stored in a checkpoint's members; a spec field that is not a
-    single int, or an invalid spec, is a ValidationError naming the file."""
+def _checkpoint_members(arrays: dict[str, np.ndarray]) -> set[str]:
+    """The member names of a checkpoint with the spec fields in `arrays`."""
     for name in SPEC_FIELDS:
         if name not in arrays or arrays[name].shape != () or arrays[name].dtype.kind != "i":
-            raise ValidationError(f"{path}: spec field {name} must be a single int")
+            raise ValidationError(f"spec field {name} must be a single int")
     spec = NetworkSpec(**{name: arrays[name].item() for name in SPEC_FIELDS})
-    try:
-        spec.validate()
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    return spec
+    spec.validate()
+    return {*SPEC_FIELDS, *param_shapes(spec)}
 
 
 def load_checkpoint(path: str) -> Parameters:
-    """Reads save_checkpoint's npz; an unreadable file, a missing or unknown
-    member, or a spec field or parameter of the wrong type, shape or value
-    is a ValidationError naming the file."""
-    arrays = errors.read_npz(path, "checkpoint", lambda arrays: (
-        {*SPEC_FIELDS, *param_shapes(_checkpoint_spec(path, arrays))}))
-    spec = _checkpoint_spec(path, arrays)
+    """Reads save_checkpoint's npz; an unreadable file, a missing or unknown member,
+    or a bad spec field or parameter is a ValidationError naming the file."""
+    arrays = errors.read_npz(path, "checkpoint", _checkpoint_members)
+    spec = NetworkSpec(**{name: arrays[name].item() for name in SPEC_FIELDS})
     for name, shape in param_shapes(spec).items():
         value = arrays[name]
         if value.dtype != np.dtype("<f8") or value.shape != shape or not np.all(np.isfinite(value)):

@@ -76,11 +76,9 @@ def write_npz(path: str, arrays: dict[str, np.ndarray]) -> None:
 
 def read_npz(path: str, what: str,
              names: Collection[str] | Callable[[dict], Collection[str]]) -> dict[str, np.ndarray]:
-    """Every member of the npz at `path`, which must hold exactly `names`: a
-    collection, or a function of the members read that returns it.  A missing
-    or unreadable file (not a zip, truncated, bad CRC, bad npy header, object
-    array), a member that is not an array, or a missing or unknown member is
-    a ValidationError naming `path`."""
+    """Every member of the npz at `path`, which must hold exactly `names` (or
+    `names(members)`).  An unreadable file, a non-array, missing or unknown
+    member, or a ValidationError from `names` is a ValidationError naming `path`."""
     try:
         with np.load(path, allow_pickle=False) as data:
             arrays = {key: data[key] for key in data.files}
@@ -89,10 +87,12 @@ def read_npz(path: str, what: str,
     for key, value in arrays.items():
         if not isinstance(value, np.ndarray):  # np.load returns a non-npy member as bytes
             raise ValidationError(f"{path}: member {key} of the {what} is not an array")
-    expected = set(names(arrays) if callable(names) else names)
-    problems = [f"{label} members {sorted(found)}" for label, found in
-                (("missing", expected - arrays.keys()), ("unknown", arrays.keys() - expected))
-                if found]
+    try:
+        expected = set(names(arrays) if callable(names) else names)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    problems = [f"{label} members {sorted(found)}" for label, found in (
+        ("missing", expected - arrays.keys()), ("unknown", arrays.keys() - expected)) if found]
     if problems:
         raise ValidationError(f"{path}: {', '.join(problems)}")
     return arrays
