@@ -12,14 +12,16 @@ import argparse
 import statistics
 import sys
 
+import numpy as np
+
 from svcascade import dvector, ge2e, metrics, scoring, synthcorpus
 
 
 def eer_for(params, corpus, trials):
-    """TI EER of a model trained on keyword+query: the `ti` column scores
-    that segment, while the `td` column would embed the keyword alone."""
-    scores = scoring.score_trials(params, params, corpus, trials)
-    return metrics.compute_eer(scores.ti[scores.labels], scores.ti[~scores.labels]).eer
+    """EER of a model trained on keyword+query, scored on that segment."""
+    scores = scoring.system_scores(params, ge2e.SEGMENT_KEYWORD_QUERY, corpus, trials)
+    labels = np.array([t.is_target for t in trials])
+    return metrics.compute_eer(scores[labels], scores[~labels]).eer
 
 
 def main() -> int:

@@ -72,6 +72,9 @@ def load_sweep_csv(path: str) -> FusionSweepResult:
         except ValueError:
             raise ValidationError(
                 f"{path}:{reader.line_num}: expected two numbers (alpha, eer)") from None
+        if not (0.0 <= alpha <= 1.0 and 0.0 <= eer <= 1.0):
+            raise ValidationError(
+                f"{path}:{reader.line_num}: alpha and eer must be in [0, 1], got {alpha}, {eer}")
         table.append((alpha, eer))
     if not table:
         raise ValidationError(f"{path}: empty fusion sweep")

@@ -260,11 +260,13 @@ def gradient_check(params: dvector.Parameters, batch_frames: np.ndarray, kind: s
     return max_rel
 
 
-def _batch_frames(utts, segment: str) -> np.ndarray:
+def segment_frames(utts, segment: str) -> np.ndarray:
+    """(B, T, d) float64 frames of one segment of each utterance: the
+    keyword, or the keyword followed by the query."""
     if segment == SEGMENT_KEYWORD:
-        seqs = [[u.keyword for u in row] for row in utts]
+        seqs = [u.keyword for u in utts]
     elif segment == SEGMENT_KEYWORD_QUERY:
-        seqs = [[np.concatenate([u.keyword, u.query], axis=0) for u in row] for row in utts]
+        seqs = [np.concatenate([u.keyword, u.query], axis=0) for u in utts]
     else:
         raise ValidationError(f"unknown segment {segment!r}; use one of {SEGMENTS}")
     return np.asarray(seqs, dtype=np.float64)
@@ -281,8 +283,6 @@ def train(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
     """
     cfg.validate()
     spec.validate()
-    if segment not in SEGMENTS:
-        raise ValidationError(f"unknown segment {segment!r}; use one of {SEGMENTS}")
     if spec.input_dim != corpus.spec.feature_dim:
         raise ValidationError(
             f"network input_dim {spec.input_dim} != corpus feature_dim "
@@ -310,12 +310,13 @@ def train(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
         lang = langs[int(rng.choice(len(langs), p=weights))]
         speakers = by_language[lang]
         spk_idx = rng.choice(len(speakers), size=cfg.batch_n, replace=False)
-        rows = []
+        batch = []
         for si in spk_idx:
             utts = speakers[int(si)]
             utt_idx = rng.choice(len(utts), size=cfg.batch_m, replace=False)
-            rows.append([utts[int(ui)] for ui in utt_idx])
-        frames = _batch_frames(rows, segment)
+            batch += [utts[int(ui)] for ui in utt_idx]
+        frames = segment_frames(batch, segment)
+        frames = frames.reshape(cfg.batch_n, cfg.batch_m, *frames.shape[1:])
         loss, grads = backward(params, frames, cfg.loss_kind)
         norm = dvector.global_norm(grads)
         scale = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0

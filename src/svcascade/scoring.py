@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dvector, errors
+from . import dvector, errors, ge2e
 from .errors import ValidationError
 from .synthcorpus import Corpus, TrialList
 
@@ -66,51 +66,49 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b)
 
 
-def _ti_frames(utt) -> np.ndarray:
-    return np.concatenate([utt.keyword, utt.query], axis=0)
+_SCORE_BATCH = 32  # utterances per forward_batch call, so peak RSS does not grow with the trials
+
+
+def system_scores(params: dvector.Parameters, segment: str, corpus: Corpus,
+                  trials: TrialList) -> np.ndarray:
+    """One system's cosine score of every trial, in trial order.
+
+    Each distinct utterance is embedded once, in batches of at most
+    _SCORE_BATCH, and each (speaker, enrollment set) profile is built once.
+    """
+    ids = sorted({u for t in trials for u in (*t.enroll_utterance_ids, t.test_utterance_id)})
+    emb = np.zeros((len(ids), params.spec.output_dim))
+    for start in range(0, len(ids), _SCORE_BATCH):
+        utts = [corpus.get(u) for u in ids[start:start + _SCORE_BATCH]]
+        emb[start:start + len(utts)] = dvector.forward_batch(
+            params, ge2e.segment_frames(utts, segment))[0]
+    norms = np.linalg.norm(emb, axis=1)
+    if np.any(np.abs(norms - 1.0) > NORM_TOLERANCE):
+        worst = norms[np.argmax(np.abs(norms - 1.0))]
+        raise ValidationError(f"embeddings must be unit-norm (norm={worst!r})")
+    row = {uid: i for i, uid in enumerate(ids)}
+    tests = emb[[row[t.test_utterance_id] for t in trials]]
+    enrolled = np.empty_like(tests)
+    profiles: dict[tuple, np.ndarray] = {}
+    for i, t in enumerate(trials):
+        key = (t.enroll_speaker_id, t.enroll_utterance_ids)
+        if key not in profiles:
+            profiles[key] = aggregate_enrollment(emb[[row[u] for u in t.enroll_utterance_ids]])
+        enrolled[i] = profiles[key]
+    return np.einsum("ij,ij->i", enrolled, tests)
 
 
 def score_trials(td_params: dvector.Parameters, ti_params: dvector.Parameters | None,
                  corpus: Corpus, trials: TrialList) -> ScoreTable:
-    """Scores every trial; TI scores are omitted when ti_params is None.
-
-    Embeddings are computed once per utterance and enrollment profiles once
-    per (speaker, enrollment set); output order matches trial order.
-    """
-    td_cache: dict[str, np.ndarray] = {}
-    ti_cache: dict[str, np.ndarray] = {}
-    profile_cache: dict[tuple, tuple[np.ndarray, np.ndarray | None]] = {}
-
-    def td_embed(uid: str) -> np.ndarray:
-        if uid not in td_cache:
-            td_cache[uid] = dvector.forward_embedding(td_params, corpus.get(uid).keyword)
-        return td_cache[uid]
-
-    def ti_embed(uid: str) -> np.ndarray:
-        if uid not in ti_cache:
-            ti_cache[uid] = dvector.forward_embedding(ti_params, _ti_frames(corpus.get(uid)))
-        return ti_cache[uid]
-
-    td_scores: list[float] = []
-    ti_scores: list[float] = []
-    for trial in trials:
-        key = (trial.enroll_speaker_id, trial.enroll_utterance_ids)
-        if key not in profile_cache:
-            td_profile = aggregate_enrollment([td_embed(u) for u in trial.enroll_utterance_ids])
-            ti_profile = None
-            if ti_params is not None:
-                ti_profile = aggregate_enrollment([ti_embed(u) for u in trial.enroll_utterance_ids])
-            profile_cache[key] = (td_profile, ti_profile)
-        td_profile, ti_profile = profile_cache[key]
-        td_scores.append(cosine_score(td_profile, td_embed(trial.test_utterance_id)))
-        if ti_profile is not None:
-            ti_scores.append(cosine_score(ti_profile, ti_embed(trial.test_utterance_id)))
+    """Scores every trial: TD on the keyword, TI on keyword + query; TI
+    scores are omitted when ti_params is None."""
     return ScoreTable(
         speakers=[t.enroll_speaker_id for t in trials],
         utterances=[t.test_utterance_id for t in trials],
         labels=np.array([t.is_target for t in trials], dtype=bool),
-        td=np.array(td_scores, dtype=np.float64),
-        ti=None if ti_params is None else np.array(ti_scores, dtype=np.float64))
+        td=system_scores(td_params, ge2e.SEGMENT_KEYWORD, corpus, trials),
+        ti=None if ti_params is None else system_scores(
+            ti_params, ge2e.SEGMENT_KEYWORD_QUERY, corpus, trials))
 
 
 def save_scores(path: str, scores: ScoreTable) -> None:

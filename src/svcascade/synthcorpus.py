@@ -302,8 +302,18 @@ def load_trials(path: str, corpus: Corpus) -> TrialList:
         if len(parts) != 4 or parts[3] not in ("tgt", "non"):
             raise ValidationError(f"{path}:{lineno}: malformed trial line")
         trial = Trial(parts[0], tuple(parts[1].split(",")), parts[2], parts[3] == "tgt")
-        for uid in (*trial.enroll_utterance_ids, trial.test_utterance_id):
-            if uid not in corpus._by_id:
-                raise ValidationError(f"{path}:{lineno}: unknown utterance id {uid!r}")
+        try:
+            enroll = [corpus.get(uid) for uid in trial.enroll_utterance_ids]
+            test = corpus.get(trial.test_utterance_id)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        if any(u.speaker_id != trial.enroll_speaker_id for u in enroll):
+            raise ValidationError(
+                f"{path}:{lineno}: enrollment utterances must be from speaker {parts[0]}")
+        if trial.test_utterance_id in trial.enroll_utterance_ids:
+            raise ValidationError(f"{path}:{lineno}: test utterance is in its own enrollment set")
+        if (test.speaker_id == trial.enroll_speaker_id) != trial.is_target:
+            raise ValidationError(
+                f"{path}:{lineno}: label {parts[3]} disagrees with test speaker {test.speaker_id}")
         trials.append(trial)
     return TrialList(trials)

@@ -137,8 +137,8 @@ class BandCell:
 def band_grid(grid_min: float, grid_max: float, step: float) -> np.ndarray:
     if step <= 0:
         raise ValidationError(f"band grid step must be positive, got {step}")
-    if grid_min >= grid_max:
-        raise ValidationError(f"band grid needs min < max, got [{grid_min}, {grid_max}]")
+    if not -1.0 <= grid_min < grid_max <= 1.0:
+        raise ValidationError(f"band grid needs -1 <= min < max <= 1, got [{grid_min}, {grid_max}]")
     count = int(np.floor((grid_max - grid_min) / step + 1e-9)) + 1
     values = grid_min + step * np.arange(count)
     if values[-1] < grid_max - 1e-12:
@@ -335,6 +335,10 @@ def load_heatmap_csv(path: str) -> PriorPoint:
             raise ValidationError(
                 f"{path}:{reader.line_num}: expected four numbers "
                 "(lower, upper, eer, trigger_rate)") from None
+        if not (-1.0 <= lower <= upper <= 1.0 and 0.0 <= eer <= 1.0 and 0.0 <= rate <= 1.0):
+            raise ValidationError(
+                f"{path}:{reader.line_num}: need -1 <= lower <= upper <= 1 and eer, "
+                f"trigger_rate in [0, 1], got {row}")
         if best is None or (eer, rate, lower, upper) < best:
             best = (eer, rate, lower, upper)
     if best is None:

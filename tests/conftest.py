@@ -55,30 +55,6 @@ def scored_trials(small_corpus, trained_models):
                                 small_corpus, trials)
 
 
-def ti_only_eer(params, corpus, trials) -> float:
-    """TI-system EER for a trial list: embeddings on keyword+query, enrollment
-    averaging, cosine scoring."""
-    cache = {}
-
-    def embed(uid):
-        if uid not in cache:
-            u = corpus.get(uid)
-            cache[uid] = dvector.forward_embedding(
-                params, np.concatenate([u.keyword, u.query]))
-        return cache[uid]
-
-    profiles = {}
-    tgt, non = [], []
-    for t in trials:
-        key = (t.enroll_speaker_id, t.enroll_utterance_ids)
-        if key not in profiles:
-            profiles[key] = scoring.aggregate_enrollment(
-                [embed(u) for u in t.enroll_utterance_ids])
-        score = scoring.cosine_score(profiles[key], embed(t.test_utterance_id))
-        (tgt if t.is_target else non).append(score)
-    return metrics.compute_eer(tgt, non).eer
-
-
 @pytest.fixture(scope="session")
 def multilingual_runs():
     """The held-out-language experiment: 5 languages, TI models trained on
@@ -99,13 +75,19 @@ def multilingual_runs():
             corpus, 150, 150, 3, seed=50 + seed * 10 + lang, languages=[lang])
             for lang in range(num_languages)}
 
+        def eer(params, lang):
+            scores = scoring.system_scores(params, ge2e.SEGMENT_KEYWORD_QUERY,
+                                           corpus, trials[lang])
+            labels = np.array([t.is_target for t in trials[lang]])
+            return metrics.compute_eer(scores[labels], scores[~labels]).eer
+
         pooled_cfg = ge2e.TrainConfig(
             batch_n=4, batch_m=3, steps=500,
             language_weights={lang: 1.0 for lang in range(4)}, seed=seed * 100)
         pooled, _ = ge2e.train(corpus, dvector.TI_SMALL, pooled_cfg,
                                ge2e.SEGMENT_KEYWORD_QUERY)
         run = {"seed": seed,
-               "pooled_unseen": ti_only_eer(pooled, corpus, trials[held_out]),
+               "pooled_unseen": eer(pooled, held_out),
                "pooled_seen": {}, "mono_matched": {}, "mono_unseen": {}}
         for lang in range(4):
             mono_cfg = ge2e.TrainConfig(
@@ -113,8 +95,8 @@ def multilingual_runs():
                 language_weights={lang: 1.0}, seed=seed * 100 + 1 + lang)
             mono, _ = ge2e.train(corpus, dvector.TI_SMALL, mono_cfg,
                                  ge2e.SEGMENT_KEYWORD_QUERY)
-            run["pooled_seen"][lang] = ti_only_eer(pooled, corpus, trials[lang])
-            run["mono_matched"][lang] = ti_only_eer(mono, corpus, trials[lang])
-            run["mono_unseen"][lang] = ti_only_eer(mono, corpus, trials[held_out])
+            run["pooled_seen"][lang] = eer(pooled, lang)
+            run["mono_matched"][lang] = eer(mono, lang)
+            run["mono_unseen"][lang] = eer(mono, held_out)
         runs.append(run)
     return runs

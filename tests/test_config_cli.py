@@ -125,6 +125,7 @@ def test_cost_durations_must_be_positive(tmp_path):
     pytest.param("paths.corpus_dir", "", None, "paths.corpus_dir", id="empty-path"),
     pytest.param("triage.band_min", "nan", None, "triage.band_min", id="band-nan"),
     pytest.param("triage.lower", "-2", None, "triage.lower", id="band-below-minus-one"),
+    pytest.param("triage.band_min", "-1.5", None, "triage.band_*", id="band-grid-below-minus-one"),
     pytest.param("train.td.language_weights", "9:1", None, "train.td.language_weights",
                  id="weight-language-range"),
     pytest.param("train.td.language_weights", "0:nan,1:1", None,
@@ -178,14 +179,31 @@ def _add_member(path):
                  "triage-sweep", "fusion_sweep.csv:3", id="sweep-short-row"),
     pytest.param("reports/fusion_sweep.csv", "alpha,eer\n0.0,abc\n",
                  "triage-sweep", "fusion_sweep.csv:2", id="sweep-non-numeric"),
+    pytest.param("reports/fusion_sweep.csv", "alpha,eer\n0.0,0.1\n1.5,-0.2\n",
+                 "report", "fusion_sweep.csv:3", id="sweep-alpha-out-of-range"),
+    pytest.param("reports/fusion_sweep.csv", "alpha,eer\nnan,0.0\n",
+                 "triage-sweep", "fusion_sweep.csv:2", id="sweep-nan"),
     pytest.param("reports/heatmap.csv", "lower,upper,eer,trigger_rate\n0.0,0.0,x,0.0\n",
                  "report", "heatmap.csv:2", id="heatmap-non-numeric"),
+    pytest.param("reports/heatmap.csv", "lower,upper,eer,trigger_rate\n0.0,0.0,0.0,0.0\n"
+                 "0.200000,0.400000,nan,0.1\n", "report", "heatmap.csv:3", id="heatmap-nan-eer"),
+    pytest.param("reports/heatmap.csv", "lower,upper,eer,trigger_rate\n"
+                 "0.500000,0.400000,0.1,0.1\n", "report", "heatmap.csv:2",
+                 id="heatmap-band-inverted"),
     pytest.param("corpus/trials.tsv", "l0s0\tl0s0u0,l0s0u1\tl0s0u2\ttgt\n"
                  "l0s0\tl0s0u0,l0s0u1\tl0s1u2\tnon\nl0s0\tl0s0u0,l0s0u1\tl9s9u9\tnon\n",
                  "score", "trials.tsv:3", id="trials-unknown-test-id"),
     pytest.param("corpus/trials_lang1.tsv", "l1s0\tl1s0u0,l1s0u1\tl1s0u2\ttgt\n"
                  "l1s0\tl1s0u0,l9s9u9\tl1s1u2\tnon\n",
                  "xeval", "trials_lang1.tsv:2", id="trials-unknown-enroll-id"),
+    pytest.param("corpus/trials.tsv", "l0s0\tl0s0u0,l0s0u1\tl0s0u2\ttgt\n"
+                 "l0s0\tl0s0u0,l0s0u1\tl0s0u3\tnon\n",
+                 "score", "trials.tsv:2", id="trials-label-mismatch"),
+    pytest.param("corpus/trials.tsv", "l0s0\tl0s0u0,l0s0u1\tl0s0u2\ttgt\n"
+                 "l0s0\tl0s0u0,l0s1u1\tl0s1u2\tnon\n",
+                 "score", "trials.tsv:2", id="trials-enroll-other-speaker"),
+    pytest.param("corpus/trials.tsv", "l0s0\tl0s0u0,l0s0u1\tl0s0u1\ttgt\n",
+                 "score", "trials.tsv:1", id="trials-test-in-enrollment"),
     pytest.param("exp.cfg", b"corpus.languages = 2\n\xff\n",
                  "gen-data", "exp.cfg:2", id="config-not-utf8"),
     pytest.param("scores/scores.tsv", b"s0\tu0\ttgt\t0.9\t0.8\ns0\tu1\tnon\t0.1\t0.2\xff\n",

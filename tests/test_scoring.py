@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svcascade import dvector, ge2e, scoring
 from svcascade.errors import ValidationError
 from svcascade.metrics import compute_eer
 from svcascade.scoring import (
-    aggregate_enrollment, cosine_score, load_scores, save_scores, score_trials)
+    aggregate_enrollment, cosine_score, load_scores, save_scores, score_trials, system_scores)
 from svcascade.synthcorpus import split_trials
 
 
@@ -92,6 +93,44 @@ def test_score_trials_ti_optional(small_corpus, trained_models):
     trials = split_trials(small_corpus, 20, 20, 3, seed=13)
     scores = score_trials(trained_models["td"], None, small_corpus, trials)
     assert scores.ti is None and scores.td.shape == (len(trials),)
+
+
+def test_score_trials_matches_per_utterance_reference(small_corpus, trained_models,
+                                                      scored_trials):
+    """Batched scores equal B = 1 embeddings, enrollment averaging and
+    cosine scoring trial by trial."""
+    trials = split_trials(small_corpus, 200, 200, 3, seed=11)
+    for column, params, segment in (
+            (scored_trials.td, trained_models["td"], lambda u: u.keyword),
+            (scored_trials.ti, trained_models["ti"], lambda u: np.concatenate([u.keyword, u.query]))):
+        def embed(uid):
+            return dvector.forward_embedding(params, segment(small_corpus.get(uid)))
+        expected = [cosine_score(aggregate_enrollment([embed(u) for u in t.enroll_utterance_ids]),
+                                 embed(t.test_utterance_id)) for t in trials]
+        np.testing.assert_allclose(column, expected, rtol=0, atol=1e-12)
+
+
+def test_system_scores_is_the_ti_column(small_corpus, trained_models, scored_trials, monkeypatch):
+    trials = split_trials(small_corpus, 200, 200, 3, seed=11)
+    utterances = {u for t in trials for u in (*t.enroll_utterance_ids, t.test_utterance_id)}
+    calls, forward_batch = [], dvector.forward_batch
+
+    def counted(params, frames):
+        calls.append(len(frames))
+        return forward_batch(params, frames)
+
+    monkeypatch.setattr(dvector, "forward_batch", counted)
+    ti = system_scores(trained_models["ti"], ge2e.SEGMENT_KEYWORD_QUERY, small_corpus, trials)
+    assert np.array_equal(ti, scored_trials.ti)
+    assert len(utterances) > scoring._SCORE_BATCH
+    assert max(calls) <= scoring._SCORE_BATCH and sum(calls) == len(utterances)
+    assert len(calls) == -(-len(utterances) // scoring._SCORE_BATCH)
+
+
+def test_system_scores_rejects_unknown_segment(small_corpus, trained_models):
+    trials = split_trials(small_corpus, 5, 5, 3, seed=17)
+    with pytest.raises(ValidationError, match="unknown segment"):
+        system_scores(trained_models["ti"], "query", small_corpus, trials)
 
 
 def test_trained_models_separate_speakers(scored_trials):
