@@ -171,7 +171,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
     scores = _load_scores(cfg)
     sweep = fusion.load_sweep_csv(
         _require(os.path.join(cfg.report_dir, "fusion_sweep.csv"), "fuse-sweep"))
-    best = triage.load_heatmap_csv(
+    lower, upper, eer, rate = triage.load_heatmap_csv(
         _require(os.path.join(cfg.report_dir, "heatmap.csv"), "triage-sweep"))
 
     n_tar, td, ti = scores.fusable("report")
@@ -184,17 +184,17 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         keyword_seconds=cfg.keyword_seconds, query_seconds=cfg.query_seconds,
         td_flops=dvector.flops_per_utterance(cfg.td_network, kw),
         ti_flops=dvector.flops_per_utterance(cfg.ti_network, total))
-    seconds, flops = cost.expected(best.trigger_rate)
+    seconds, flops = cost.expected(rate)
 
     lines = [
         "eer_td=%.9f" % td_eer,
         "eer_ti=%.9f" % ti_eer,
         "alpha=%.6f" % sweep.alpha_star,
         "eer_fused=%.9f" % sweep.eer_at_alpha_star,
-        "band_lower=%.6f" % best.lower,
-        "band_upper=%.6f" % best.upper,
-        "eer=%.9f" % best.eer,
-        "trigger_rate=%.9f" % best.trigger_rate,
+        "band_lower=%.6f" % lower,
+        "band_upper=%.6f" % upper,
+        "eer=%.9f" % eer,
+        "trigger_rate=%.9f" % rate,
         "expected_latency_seconds=%.9f" % seconds,
         "expected_flops=%.1f" % flops,
     ]

@@ -73,7 +73,10 @@ def _priors(v: str) -> list[float]:
 
 
 def _ids(v: str) -> list[int]:
-    return [int(x) for x in v.split(",")] if v else []
+    ids = [int(x) for x in v.split(",")] if v else []
+    if len(set(ids)) != len(ids):
+        raise ValueError("names a language twice")
+    return ids
 
 
 def _lang_map(value):
@@ -83,9 +86,12 @@ def _lang_map(value):
         for item in v.split(",") if v else []:
             lang, _, x = item.partition(":")
             try:
-                out[int(lang)] = value(x)
+                lang_id, parsed = int(lang), value(x)
             except ValueError as exc:
                 raise ValueError(f"entry {item!r} (lang:value): {exc}") from None
+            if lang_id in out:
+                raise ValueError(f"names language {lang_id} twice")
+            out[lang_id] = parsed
         return out
     return parse
 

@@ -82,50 +82,10 @@ def _centroids(embeddings: np.ndarray):
     return mu / mu_norm, mu_norm, mu_loo / loo_norm, loo_norm
 
 
-def similarity_matrix(embeddings: np.ndarray, w: float, b: float) -> np.ndarray:
-    """S[j, i, k] = w * cos(e_ji, c_k) + b, with the leave-one-out centroid
-    when k is the utterance's own speaker."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    _check_batch_shape(embeddings.shape)
-    if not w > 0:
-        raise ValidationError(f"similarity scale must be positive, got {w}")
-    norms = np.linalg.norm(embeddings, axis=2)
-    if np.any(np.abs(norms - 1.0) > 1e-4):
-        raise ValidationError("similarity_matrix expects unit-norm embeddings")
-    n = embeddings.shape[0]
-    chat, _, chat_loo, _ = _centroids(embeddings)
-    cos = np.einsum("jmd,kd->jmk", embeddings, chat)
-    cos[np.arange(n), :, np.arange(n)] = np.sum(embeddings * chat_loo, axis=2)
-    return w * cos + b
-
-
-def ge2e_loss(similarities: np.ndarray, kind: str, labels: np.ndarray | None = None) -> float:
-    """Summed loss over all utterances.  `labels` gives the true speaker
-    column per row of the batch; defaults to the identity (row j is speaker j)."""
-    S = np.asarray(similarities, dtype=np.float64)
-    _check_batch_shape(S.shape)
-    if kind not in LOSS_KINDS:
-        raise ValidationError(f"unknown loss kind {kind!r}")
-    n, m, k = S.shape
-    if labels is None:
-        labels = np.arange(n)
-    labels = np.asarray(labels)
-    if labels.shape != (n,) or labels.min() < 0 or labels.max() >= k:
-        raise ValidationError("labels must index a speaker column per batch row")
-    pos = S[np.arange(n), :, labels]  # (N, M)
-    if kind == SOFTMAX:
-        mx = S.max(axis=2)
-        lse = mx + np.log(np.sum(np.exp(S - mx[:, :, None]), axis=2))
-        return float(np.sum(lse - pos))
-    sig = dvector._sigmoid(S)
-    masked = sig.copy()
-    masked[np.arange(n), :, labels] = -np.inf
-    return float(np.sum(1.0 - dvector._sigmoid(pos) + masked.max(axis=2)))
-
-
 def _loss_and_embedding_grads(embeddings: np.ndarray, w: float, b: float, kind: str):
-    """Loss plus exact gradients w.r.t. embeddings and the (w, b) scalars,
-    including the centroid paths."""
+    """The GE2E loss of a (N, M, d) batch of unit embeddings, plus its exact
+    gradients w.r.t. the embeddings (centroid paths included) and the (w, b)
+    scalars.  Training, `batch_loss` and the gradient check all use it."""
     E = np.asarray(embeddings, dtype=np.float64)
     _check_batch_shape(E.shape)
     n, m, d = E.shape
@@ -184,13 +144,13 @@ def _loss_and_embedding_grads(embeddings: np.ndarray, w: float, b: float, kind: 
 
 
 def batch_loss(params: dvector.Parameters, batch_frames: np.ndarray, kind: str) -> float:
-    """Forward-only GE2E loss for a (N, M, T, D) batch of feature sequences."""
+    """GE2E loss for a (N, M, T, D) batch of feature sequences, without the
+    network's backward pass."""
     n, m = batch_frames.shape[0], batch_frames.shape[1]
     flat = batch_frames.reshape(n * m, batch_frames.shape[2], batch_frames.shape[3])
     emb, _ = dvector.forward_batch(params, flat)
-    E = emb.reshape(n, m, -1)
-    S = similarity_matrix(E, float(params["ge2e/scale"]), float(params["ge2e/offset"]))
-    return ge2e_loss(S, kind)
+    return _loss_and_embedding_grads(emb.reshape(n, m, -1), float(params["ge2e/scale"]),
+                                     float(params["ge2e/offset"]), kind)[0]
 
 
 def backward(params: dvector.Parameters, batch_frames: np.ndarray,
@@ -225,7 +185,7 @@ def gradient_check(params: dvector.Parameters, batch_frames: np.ndarray, kind: s
         raise ValidationError("sample_count must be >= 1")
     _, grads = backward(params, batch_frames, kind)
     names = dvector.param_names(params.spec)
-    sizes = [int(np.asarray(params[n]).size) for n in names]
+    sizes = [params[n].size for n in names]
     total = sum(sizes)
     rng = np.random.default_rng(seed)
     coords = rng.choice(total, size=min(sample_count, total), replace=False)
@@ -237,24 +197,15 @@ def gradient_check(params: dvector.Parameters, batch_frames: np.ndarray, kind: s
         block = int(np.searchsorted(offsets, flat_idx, side="right")) - 1
         name = names[block]
         local = int(flat_idx - offsets[block])
-        arr = work[name].reshape(-1) if work[name].ndim else None
-        if arr is None:  # 0-d scalar parameter
-            orig = float(work[name])
-            work[name] = np.array(orig + epsilon)
-            lp = batch_loss(work, batch_frames, kind)
-            work[name] = np.array(orig - epsilon)
-            lm = batch_loss(work, batch_frames, kind)
-            work[name] = np.array(orig)
-        else:
-            orig = arr[local]
-            arr[local] = orig + epsilon
-            lp = batch_loss(work, batch_frames, kind)
-            arr[local] = orig - epsilon
-            lm = batch_loss(work, batch_frames, kind)
-            arr[local] = orig
+        arr = work[name].reshape(-1)  # a view, for the 0-d scale and offset too
+        orig = arr[local]
+        arr[local] = orig + epsilon
+        lp = batch_loss(work, batch_frames, kind)
+        arr[local] = orig - epsilon
+        lm = batch_loss(work, batch_frames, kind)
+        arr[local] = orig
         numeric = (lp - lm) / (2.0 * epsilon)
-        analytic = float(np.asarray(grads[name]).reshape(-1)[local]) \
-            if grads[name].ndim else float(grads[name])
+        analytic = float(grads[name].reshape(-1)[local])
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
         max_rel = max(max_rel, rel)
     return max_rel
@@ -321,7 +272,7 @@ def train(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
         norm = dvector.global_norm(grads)
         scale = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
         for name in params.values:
-            params.values[name] = params.values[name] - cfg.learning_rate * scale * grads[name]
+            params.values[name] -= cfg.learning_rate * scale * grads[name]
         if float(params["ge2e/scale"]) < SCALE_FLOOR:
             params["ge2e/scale"] = np.array(SCALE_FLOOR)
         trace.append((step, loss, lang))

@@ -310,6 +310,8 @@ def load_trials(path: str, corpus: Corpus) -> TrialList:
         if any(u.speaker_id != trial.enroll_speaker_id for u in enroll):
             raise ValidationError(
                 f"{path}:{lineno}: enrollment utterances must be from speaker {parts[0]}")
+        if len(set(trial.enroll_utterance_ids)) != len(trial.enroll_utterance_ids):
+            raise ValidationError(f"{path}:{lineno}: enrollment set names an utterance twice")
         if trial.test_utterance_id in trial.enroll_utterance_ids:
             raise ValidationError(f"{path}:{lineno}: test utterance is in its own enrollment set")
         if (test.speaker_id == trial.enroll_speaker_id) != trial.is_target:

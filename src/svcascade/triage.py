@@ -321,9 +321,10 @@ def save_prior_curve_csv(path: str, points: list[PriorPoint]) -> None:
             writer.writerow(["%.6f" % pt.prior, "%.9f" % pt.trigger_rate, "%.9f" % pt.eer])
 
 
-def load_heatmap_csv(path: str) -> PriorPoint:
-    """The best band of a heat map: lowest EER, then lowest trigger rate
-    (prior 0.5, as the heat map stores it), then lowest band."""
+def load_heatmap_csv(path: str) -> tuple[float, float, float, float]:
+    """(lower, upper, eer, trigger_rate) of the best band of a heat map:
+    lowest EER, then lowest trigger rate (prior 0.5, as the heat map stores
+    it), then lowest band."""
     best = None
     reader = csv.reader(io.StringIO(errors.read_text(path)))
     if next(reader, None) != ["lower", "upper", "eer", "trigger_rate"]:
@@ -344,4 +345,4 @@ def load_heatmap_csv(path: str) -> PriorPoint:
     if best is None:
         raise DependencyError(f"{path} is empty; run `svcascade triage-sweep`")
     eer, rate, lower, upper = best
-    return PriorPoint(prior=0.5, lower=lower, upper=upper, trigger_rate=rate, eer=eer)
+    return lower, upper, eer, rate

@@ -146,6 +146,7 @@ def test_criterion_6_fusion_dominance():
            ok and elapsed < 10.0)
 
 
+@pytest.mark.slow
 def test_criterion_7_multilingual_generalization(multilingual_runs):
     pooled_unseen = statistics.median(r["pooled_unseen"] for r in multilingual_runs)
     mono_unseen = {lang: statistics.median(r["mono_unseen"][lang]

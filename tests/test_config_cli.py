@@ -131,6 +131,12 @@ def test_cost_durations_must_be_positive(tmp_path):
     pytest.param("train.td.language_weights", "0:nan,1:1", None,
                  "train.td.language_weights", id="weight-nan"),
     pytest.param("cost.keyword_seconds", "inf", None, "cost.keyword_seconds", id="cost-inf"),
+    pytest.param("corpus.overrides", "1:5,1:7", None, "corpus.overrides",
+                 id="overrides-duplicate-language"),
+    pytest.param("train.td.language_weights", "0:1,0:3", None, "train.td.language_weights",
+                 id="weight-duplicate-language"),
+    pytest.param("xeval.languages", "0,0", None, "xeval.languages",
+                 id="xeval-duplicate-language"),
 ])
 def test_rejected_at_parse_time(tmp_path, capsys, key, value, seed, named):
     overrides = {} if key is None else {key: value}
@@ -204,6 +210,9 @@ def _add_member(path):
                  "score", "trials.tsv:2", id="trials-enroll-other-speaker"),
     pytest.param("corpus/trials.tsv", "l0s0\tl0s0u0,l0s0u1\tl0s0u1\ttgt\n",
                  "score", "trials.tsv:1", id="trials-test-in-enrollment"),
+    pytest.param("corpus/trials.tsv", "l0s0\tl0s0u0,l0s0u1\tl0s0u2\ttgt\n"
+                 "l0s0\tl0s0u0,l0s0u0,l0s0u1\tl0s0u2\ttgt\n",
+                 "score", "trials.tsv:2", id="trials-duplicate-enroll-id"),
     pytest.param("exp.cfg", b"corpus.languages = 2\n\xff\n",
                  "gen-data", "exp.cfg:2", id="config-not-utf8"),
     pytest.param("scores/scores.tsv", b"s0\tu0\ttgt\t0.9\t0.8\ns0\tu1\tnon\t0.1\t0.2\xff\n",

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from svcascade import dvector, ge2e
 from svcascade.errors import CapacityError, ValidationError
 from svcascade.ge2e import (
-    CONTRAST, SCALE_FLOOR, SEGMENT_KEYWORD, SOFTMAX, TrainConfig, backward,
-    batch_loss, ge2e_loss, gradient_check, similarity_matrix, train)
+    CONTRAST, SCALE_FLOOR, SEGMENT_KEYWORD, SOFTMAX, TrainConfig,
+    _loss_and_embedding_grads, backward, batch_loss, gradient_check, train)
 
 
 def orthogonal_batch(n=2, m=3, d=4):
@@ -23,68 +23,70 @@ def random_unit_batch(seed, n=3, m=3, d=6):
     return emb / np.linalg.norm(emb, axis=2, keepdims=True)
 
 
+def loss_of(emb, w, b, kind):
+    return _loss_and_embedding_grads(emb, w, b, kind)[0]
+
+
 def test_similarity_orthogonal_identical_speakers():
-    s = similarity_matrix(orthogonal_batch(), w=10.0, b=0.0)
-    for j in range(2):
-        assert np.allclose(s[j, :, j], 10.0)
-        assert np.allclose(s[j, :, 1 - j], 0.0)
+    # S is w on the own-speaker column and 0 elsewhere, so the softmax (w, b)
+    # gradients are sum(dS * cos) = 6 (p_own - 1) and sum(dS) = 0
+    _, _, dw, db = _loss_and_embedding_grads(orthogonal_batch(), 10.0, 0.0, SOFTMAX)
+    assert dw == pytest.approx(-6.0 / (1.0 + np.exp(10.0)), rel=1e-9)
+    assert db == pytest.approx(0.0, abs=1e-12)
 
 
 def test_similarity_antipodal_cross_terms():
     emb = np.zeros((2, 2, 3))
     emb[0, :, 0] = 1.0
     emb[1, :, 0] = -1.0
-    s = similarity_matrix(emb, w=1.0, b=0.0)
-    assert np.allclose(s[0, :, 1], -1.0)
-    assert np.allclose(s[1, :, 0], -1.0)
+    w, b = 1.0, 0.3
+    # own column w + b, other column -w + b
+    per_utt = np.log(1.0 + np.exp(-2.0 * w))
+    assert loss_of(emb, w, b, SOFTMAX) == pytest.approx(4 * per_utt, rel=1e-12)
+    sigmoid = lambda z: 1.0 / (1.0 + np.exp(-z))
+    per_utt = 1.0 - sigmoid(w + b) + sigmoid(-w + b)
+    assert loss_of(emb, w, b, CONTRAST) == pytest.approx(4 * per_utt, rel=1e-12)
 
 
 def test_similarity_uses_leave_one_out_positive():
     u = np.array([1.0, 0.0, 0.0])
     v = np.array([0.6, 0.8, 0.0])
     emb = np.stack([np.stack([u, v]), np.stack([[0, 0, 1.0], [0, 0, 1.0]])])
-    s = similarity_matrix(emb, w=1.0, b=0.0)
-    # positive for u is against v alone, not against mean(u, v)
-    assert s[0, 0, 0] == pytest.approx(u @ v)
-    mean = (u + v) / 2
-    against_mean = u @ (mean / np.linalg.norm(mean))
-    assert abs(s[0, 0, 0] - against_mean) > 1e-3
+    # every cross-speaker cosine is 0; speaker 1's own cosines are 1
+    other = 2 * (np.log(np.e + 1.0) - 1.0)
+    # positive for u (and v) is against the other utterance alone, u @ v ...
+    loo = 2 * (np.log(np.exp(u @ v) + 1.0) - u @ v)
+    assert loss_of(emb, 1.0, 0.0, SOFTMAX) == pytest.approx(loo + other, rel=1e-12)
+    # ... not against the normalized mean of both
+    mean = (u + v) / np.linalg.norm(u + v)
+    full = sum(np.log(np.exp(e @ mean) + 1.0) - e @ mean for e in (u, v))
+    assert abs(loss_of(emb, 1.0, 0.0, SOFTMAX) - (full + other)) > 1e-3
 
 
 def test_similarity_rejects_bad_batches():
-    with pytest.raises(ValidationError):
-        similarity_matrix(np.zeros((1, 3, 4)), 10.0, 0.0)
-    with pytest.raises(ValidationError):
-        similarity_matrix(orthogonal_batch(), w=0.0, b=0.0)
-    with pytest.raises(ValidationError):
-        similarity_matrix(2.0 * orthogonal_batch(), w=1.0, b=0.0)
+    for shape in ((1, 3, 4), (3, 1, 4)):
+        with pytest.raises(ValidationError, match="N >= 2"):
+            loss_of(np.ones(shape), 10.0, 0.0, SOFTMAX)
+    with pytest.raises(ValidationError, match="hinge"):
+        loss_of(orthogonal_batch(), 10.0, 0.0, "hinge")
 
 
 def test_softmax_loss_closed_form_on_degenerate_batch():
-    s = similarity_matrix(orthogonal_batch(n=2, m=3), w=10.0, b=0.0)
     per_utt = np.log(1.0 + np.exp(-10.0))
-    assert ge2e_loss(s, SOFTMAX) == pytest.approx(6 * per_utt, rel=1e-12)
+    assert loss_of(orthogonal_batch(n=2, m=3), 10.0, 0.0, SOFTMAX) == \
+        pytest.approx(6 * per_utt, rel=1e-12)
 
 
 def test_contrast_loss_closed_form_on_degenerate_batch():
-    s = similarity_matrix(orthogonal_batch(n=2, m=3), w=10.0, b=0.0)
     sigmoid = lambda z: 1.0 / (1.0 + np.exp(-z))
     per_utt = 1.0 - sigmoid(10.0) + sigmoid(0.0)
-    assert ge2e_loss(s, CONTRAST) == pytest.approx(6 * per_utt, rel=1e-12)
+    assert loss_of(orthogonal_batch(n=2, m=3), 10.0, 0.0, CONTRAST) == \
+        pytest.approx(6 * per_utt, rel=1e-12)
 
 
 def test_softmax_loss_is_log_n_when_all_embeddings_equal():
     emb = np.broadcast_to(np.array([1.0, 0, 0]), (3, 2, 3)).copy()
-    s = similarity_matrix(emb, w=10.0, b=-5.0)
-    assert ge2e_loss(s, SOFTMAX) == pytest.approx(3 * 2 * np.log(3), rel=1e-12)
-
-
-def test_loss_sums_over_utterances():
-    rng = np.random.default_rng(0)
-    s = rng.standard_normal((3, 2, 3))
-    doubled = np.concatenate([s, s], axis=1)
-    for kind in (SOFTMAX, CONTRAST):
-        assert ge2e_loss(doubled, kind) == pytest.approx(2 * ge2e_loss(s, kind), rel=1e-12)
+    assert loss_of(emb, 10.0, -5.0, SOFTMAX) == pytest.approx(3 * 2 * np.log(3), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -92,24 +94,28 @@ def test_loss_sums_over_utterances():
 def test_loss_bounds_on_random_batches(seed):
     emb = random_unit_batch(seed)
     w, b = 4.0, -1.0
-    s = similarity_matrix(emb, w, b)
     n, m = emb.shape[:2]
-    soft = ge2e_loss(s, SOFTMAX)
+    soft = loss_of(emb, w, b, SOFTMAX)
     assert 0.0 <= soft <= n * m * (np.log(n) + w + abs(b))
-    contrast = ge2e_loss(s, CONTRAST)
+    contrast = loss_of(emb, w, b, CONTRAST)
     assert 0.0 <= contrast <= 2.0 * n * m
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6))
 def test_permutation_equivariance(seed):
+    """Reordering speakers, or utterances within a speaker, leaves the loss
+    and the (w, b) gradients alone and reorders the embedding gradients."""
     emb = random_unit_batch(seed, n=4)
-    perm = np.random.default_rng(seed + 1).permutation(4)
-    s = similarity_matrix(emb, 3.0, 0.5)
-    sp = similarity_matrix(emb[perm], 3.0, 0.5)
-    assert np.allclose(sp, s[perm][:, :, perm])
+    rng = np.random.default_rng(seed + 1)
+    spk, utt = rng.permutation(4), rng.permutation(3)
     for kind in (SOFTMAX, CONTRAST):
-        assert ge2e_loss(sp, kind) == pytest.approx(ge2e_loss(s, kind), rel=1e-9)
+        loss, dE, dw, db = _loss_and_embedding_grads(emb, 3.0, 0.5, kind)
+        for permuted, reorder in ((emb[spk], lambda a: a[spk]), (emb[:, utt], lambda a: a[:, utt])):
+            lp, dEp, dwp, dbp = _loss_and_embedding_grads(permuted, 3.0, 0.5, kind)
+            assert lp == pytest.approx(loss, rel=1e-9)
+            assert (dwp, dbp) == pytest.approx((dw, db), rel=1e-9, abs=1e-12)
+            assert np.allclose(dEp, reorder(dE), rtol=1e-9, atol=1e-12)
 
 
 def keyword_batch(corpus, n=3, m=2):
@@ -130,11 +136,15 @@ def test_gradient_check_contrast(small_corpus):
 
 
 def test_gradient_check_after_short_training(small_corpus):
+    """Every coordinate, the trained scale and offset included: they stay 0-d
+    arrays, so the checker's reshape(-1) perturbs them in place."""
     cfg = TrainConfig(batch_n=3, batch_m=2, steps=10,
                       language_weights={0: 1.0, 1: 1.0}, seed=7)
     params, _ = train(small_corpus, dvector.TD_SMALL, cfg, SEGMENT_KEYWORD)
+    assert all(isinstance(v, np.ndarray) for v in params.values.values())
+    count = sum(v.size for v in params.values.values())
     batch = keyword_batch(small_corpus)
-    assert gradient_check(params, batch, SOFTMAX, sample_count=100, seed=4) < 1e-4
+    assert gradient_check(params, batch, SOFTMAX, sample_count=count, seed=4) < 1e-4
 
 
 def test_larger_epsilon_gives_larger_error(small_corpus):

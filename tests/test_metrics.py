@@ -189,6 +189,7 @@ def test_cross_eval_matrix_shape_and_flags():
         assert cell.system in ("td", "ti")
 
 
+@pytest.mark.slow
 def test_cross_lingual_pattern_over_seeds(multilingual_runs):
     # a monolingual model on an unseen language is no better than on its own
     # language, for the majority of (model, seed) pairs
