@@ -13,7 +13,6 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
 
 from . import dvector, errors, fusion, ge2e, metrics, scoring, synthcorpus, triage
 from .config import ExperimentConfig, parse_config
@@ -49,16 +48,18 @@ def _load_corpus(cfg: ExperimentConfig) -> synthcorpus.Corpus:
 
 
 def cmd_gen_data(cfg: ExperimentConfig) -> None:
+    """Draws every trial list before writing anything, so a split that fails
+    leaves no corpus behind."""
     corpus = synthcorpus.generate_corpus(cfg.corpus_spec)
+    per_language = [synthcorpus.split_trials(
+        corpus, cfg.trial_targets, cfg.trial_nontargets,
+        cfg.enroll_per_speaker, seed=cfg.trial_seed + lang, languages=[lang])
+        for lang in range(cfg.corpus_spec.languages)]
     synthcorpus.save_corpus(corpus, cfg.corpus_dir)
-    pooled: list[synthcorpus.Trial] = []
-    for lang in range(cfg.corpus_spec.languages):
-        trials = synthcorpus.split_trials(
-            corpus, cfg.trial_targets, cfg.trial_nontargets,
-            cfg.enroll_per_speaker, seed=cfg.trial_seed + lang, languages=[lang])
+    for lang, trials in enumerate(per_language):
         synthcorpus.save_trials(trials, _trials_path(cfg, lang))
-        pooled.extend(trials.trials)
-    synthcorpus.save_trials(synthcorpus.TrialList(pooled), _trials_path(cfg))
+    synthcorpus.save_trials(synthcorpus.TrialList(
+        [t for trials in per_language for t in trials]), _trials_path(cfg))
 
 
 def cmd_train(cfg: ExperimentConfig) -> None:
@@ -143,26 +144,26 @@ def cmd_eval(cfg: ExperimentConfig) -> None:
 
 
 def cmd_xeval(cfg: ExperimentConfig) -> None:
-    """Trains monolingual TD/TI models per language and writes the full
+    """Scores the pooled `train` models and one monolingual TD/TI model per
+    xeval language, trained here, on every xeval language: the full
     cross-language EER matrix."""
     corpus = _load_corpus(cfg)
+    langs = cfg.xeval_languages
     eval_sets = [(lang, corpus, synthcorpus.load_trials(
-        _require(_trials_path(cfg, lang), "gen-data"), corpus)) for lang in cfg.xeval_languages]
-    os.makedirs(cfg.checkpoint_dir, exist_ok=True)
+        _require(_trials_path(cfg, lang), "gen-data"), corpus)) for lang in langs]
+    td_pooled, ti_pooled = (dvector.load_checkpoint(_require(_ckpt_path(cfg, name), "train"))
+                            for name in ("td", "ti"))
     os.makedirs(cfg.report_dir, exist_ok=True)
-    models = []
-    for lang in cfg.xeval_languages:
-        mono_td = replace(cfg.td_train, language_weights={lang: 1.0},
-                          seed=cfg.td_train.seed + 1000 + lang)
-        mono_ti = replace(cfg.ti_train, language_weights={lang: 1.0},
-                          seed=cfg.ti_train.seed + 2000 + lang)
-        td_path = _ckpt_path(cfg, f"td_mono{lang}")
-        ti_path = _ckpt_path(cfg, f"ti_mono{lang}")
-        td_params, _ = ge2e.train(corpus, cfg.td_network, mono_td, ge2e.SEGMENT_KEYWORD)
-        ti_params, _ = ge2e.train(corpus, cfg.ti_network, mono_ti, ge2e.SEGMENT_KEYWORD_QUERY)
-        dvector.save_checkpoint(td_path, td_params)
-        dvector.save_checkpoint(ti_path, ti_params)
-        models.append((f"mono{lang}", lang, td_params, ti_params))
+    td = ge2e.train_per_language(corpus, cfg.td_network, cfg.td_train, ge2e.SEGMENT_KEYWORD,
+                                 {lang: cfg.td_train.seed + 1000 + lang for lang in langs})
+    ti = ge2e.train_per_language(corpus, cfg.ti_network, cfg.ti_train,
+                                 ge2e.SEGMENT_KEYWORD_QUERY,
+                                 {lang: cfg.ti_train.seed + 2000 + lang for lang in langs})
+    models = [("pooled", (cfg.td_train.languages, td_pooled), (cfg.ti_train.languages, ti_pooled))]
+    for lang in langs:
+        dvector.save_checkpoint(_ckpt_path(cfg, f"td_mono{lang}"), td[lang])
+        dvector.save_checkpoint(_ckpt_path(cfg, f"ti_mono{lang}"), ti[lang])
+        models.append((f"mono{lang}", ((lang,), td[lang]), ((lang,), ti[lang])))
     cells = metrics.cross_eval_matrix(models, eval_sets, scoring.score_trials)
     metrics.save_matrix_csv(os.path.join(cfg.report_dir, "xeval_matrix.csv"), cells)
 

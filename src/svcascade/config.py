@@ -5,8 +5,9 @@ numbers), and documented defaults for every key.
 Each value is parsed once, by its schema parser, into the type the stages
 use.  Range rules that a stage owns (spec shapes, training settings, the
 fusion and band grids, the triage band) are checked at parse time by that
-stage's own validator, so a config that parses is one every stage accepts,
-short of what depends on the generated corpus.
+stage's own validator, and the corpus shape that trial splitting and
+training batches need is checked against the corpus spec, so a config that
+parses is one every stage accepts.
 """
 
 from __future__ import annotations
@@ -221,6 +222,29 @@ def _check(what: str, validate, *args) -> None:
         raise ValidationError(f"config {what}: {exc}") from None
 
 
+def _check_capacity(spec: CorpusSpec, enroll: int, trains: dict[str, TrainConfig],
+                    xeval_languages: list[int]) -> None:
+    """The corpus shape that `split_trials` (gen-data) and `ge2e.train`
+    (train, xeval) need, so no stage fails on a corpus an earlier one wrote."""
+    speakers = spec.speakers_per_language
+    if speakers < 2:
+        raise ValidationError(f"config corpus.speakers_per_language={speakers}: "
+                              "nontarget trials need >= 2 speakers per language")
+    for lang in range(spec.languages):
+        utts = spec.utterances_for(lang)
+        shape = (f"language {lang} has {speakers} speakers of {utts} utterances (corpus."
+                 "speakers_per_language, corpus.utterances_per_speaker, corpus.overrides)")
+        if utts <= enroll:
+            raise ValidationError(f"config trials.enroll_per_speaker={enroll}: {shape}; "
+                                  f"enrollment plus a test utterance needs {enroll + 1}")
+        for system, train in trains.items():
+            if (lang in train.languages or lang in xeval_languages) and (
+                    speakers < train.batch_n or utts < train.batch_m):
+                raise ValidationError(
+                    f"config train.{system}.batch_n/batch_m: {shape}; a batch needs "
+                    f"{train.batch_n} speakers of {train.batch_m} utterances")
+
+
 def parse_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
     """Loads, defaults, types and validates a config file.
 
@@ -266,6 +290,7 @@ def parse_config(path: str, seed_override: int | None = None) -> ExperimentConfi
         bad = [lang for lang in ids if not 0 <= lang < languages]
         if bad:
             raise ValidationError(f"config {key}: languages {bad} not in [0, {languages})")
+    _check_capacity(corpus_spec, values["trials.enroll_per_speaker"], trains, xeval_languages)
     _check("fusion.grid_step", alpha_grid, values["fusion.grid_step"])
     _check("triage.band_*", band_grid,
            values["triage.band_min"], values["triage.band_max"], values["triage.band_step"])

@@ -95,7 +95,9 @@ def param_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
 
 def init_network(spec: NetworkSpec, seed: int) -> Parameters:
     """Glorot-uniform weights (per gate for `w`), zero biases except forget
-    gate (1.0), similarity scale 10 and offset -5; weights are float32 values."""
+    gate (1.0), similarity scale 10 and offset -5; weights are float32 values.
+    `ge2e/offset` moves only under the contrast loss, because softmax is
+    shift-invariant."""
     spec.validate()
     rng = np.random.default_rng(seed)
     c = spec.cells

@@ -11,7 +11,7 @@ update.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,6 +60,11 @@ class TrainConfig:
             raise ValidationError("language weights must be nonnegative")
         if all(w == 0 for w in self.language_weights.values()):
             raise ValidationError("language weights must not all be zero")
+
+    @property
+    def languages(self) -> tuple[int, ...]:
+        """The languages a model is trained on: those of weight > 0, sorted."""
+        return tuple(sorted(lang for lang, w in self.language_weights.items() if w > 0))
 
 
 def _check_batch_shape(shape: tuple[int, ...]) -> None:
@@ -244,7 +249,7 @@ def train(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
     for sid, utts in by_speaker.items():
         if len(utts) >= cfg.batch_m:
             by_language.setdefault(utts[0].language_id, []).append(utts)
-    langs = sorted(l for l, w in cfg.language_weights.items() if w > 0)
+    langs = cfg.languages
     for lang in langs:
         available = len(by_language.get(lang, []))
         if available < cfg.batch_n:
@@ -277,6 +282,15 @@ def train(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
             params["ge2e/scale"] = np.array(SCALE_FLOOR)
         trace.append((step, loss, lang))
     return params, trace
+
+
+def train_per_language(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
+                       segment: str, seeds: dict[int, int]) -> dict[int, dvector.Parameters]:
+    """One monolingual model per language in `seeds`, each trained like
+    `train` with `cfg` on that language alone and with its own seed."""
+    return {lang: train(corpus, spec, replace(cfg, language_weights={lang: 1.0}, seed=seed),
+                        segment)[0]
+            for lang, seed in seeds.items()}
 
 
 def save_loss_trace(path: str, trace: list[tuple[int, float, int]]) -> None:

@@ -82,44 +82,47 @@ def compute_eer(target_scores, nontarget_scores) -> EvalResult:
 @dataclass(frozen=True)
 class MatrixCell:
     model_name: str
-    train_language: int
+    train_language: tuple[int, ...]  # the languages the system was trained on
     system: str  # "td" or "ti"
     eval_language: int
     result: EvalResult
-    cross_lingual: bool
+    cross_lingual: bool  # the eval language is not a training language
 
 
 def cross_eval_matrix(models, eval_sets, scorer) -> list[MatrixCell]:
     """EER for every (model, evaluation language) cell, TD and TI separately.
 
-    models: list of (name, train_language, td_params, ti_params).
+    models: list of (name, td, ti), where td and ti are (training languages,
+            params) pairs.
     eval_sets: list of (language, corpus, trials).
     scorer: callable (td_params, ti_params, corpus, trials) -> ScoreTable,
             normally scoring.score_trials.
     """
     cells: list[MatrixCell] = []
-    for name, train_lang, td_params, ti_params in models:
+    for name, (td_langs, td_params), (ti_langs, ti_params) in models:
         for eval_lang, corpus, trials in eval_sets:
             try:
                 scores = scorer(td_params, ti_params, corpus, trials)
             except Exception as exc:
                 raise type(exc)(f"cell (model={name}, eval_lang={eval_lang}): {exc}") from exc
             labels = scores.labels
-            for system, column in (("td", scores.td), ("ti", scores.ti)):
+            for system, langs, column in (("td", td_langs, scores.td),
+                                          ("ti", ti_langs, scores.ti)):
                 result = compute_eer(column[labels], column[~labels])
                 cells.append(MatrixCell(
-                    model_name=name, train_language=train_lang, system=system,
+                    model_name=name, train_language=tuple(langs), system=system,
                     eval_language=eval_lang, result=result,
-                    cross_lingual=train_lang != eval_lang))
+                    cross_lingual=eval_lang not in langs))
     return cells
 
 
 def save_matrix_csv(path: str, cells: list[MatrixCell]) -> None:
+    """One row per cell; train_lang joins the training languages with `+`."""
     with errors.write_atomic(path) as f:
         writer = csv.writer(f)
         writer.writerow(["model", "train_lang", "system", "eval_lang",
                          "eer_percent", "cross_lingual"])
         for cell in cells:
-            writer.writerow([cell.model_name, cell.train_language, cell.system,
-                             cell.eval_language, "%.2f" % (100.0 * cell.result.eer),
-                             int(cell.cross_lingual)])
+            writer.writerow([cell.model_name, "+".join(map(str, cell.train_language)),
+                             cell.system, cell.eval_language,
+                             "%.2f" % (100.0 * cell.result.eer), int(cell.cross_lingual)])

@@ -86,15 +86,13 @@ def multilingual_runs():
             language_weights={lang: 1.0 for lang in range(4)}, seed=seed * 100)
         pooled, _ = ge2e.train(corpus, dvector.TI_SMALL, pooled_cfg,
                                ge2e.SEGMENT_KEYWORD_QUERY)
+        monos = ge2e.train_per_language(corpus, dvector.TI_SMALL, pooled_cfg,
+                                        ge2e.SEGMENT_KEYWORD_QUERY,
+                                        {lang: seed * 100 + 1 + lang for lang in range(4)})
         run = {"seed": seed,
                "pooled_unseen": eer(pooled, held_out),
                "pooled_seen": {}, "mono_matched": {}, "mono_unseen": {}}
-        for lang in range(4):
-            mono_cfg = ge2e.TrainConfig(
-                batch_n=4, batch_m=3, steps=500,
-                language_weights={lang: 1.0}, seed=seed * 100 + 1 + lang)
-            mono, _ = ge2e.train(corpus, dvector.TI_SMALL, mono_cfg,
-                                 ge2e.SEGMENT_KEYWORD_QUERY)
+        for lang, mono in monos.items():
             run["pooled_seen"][lang] = eer(pooled, lang)
             run["mono_matched"][lang] = eer(mono, lang)
             run["mono_unseen"][lang] = eer(mono, held_out)

@@ -1,12 +1,13 @@
 import csv
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from svcascade import cli
 from svcascade.config import parse_config
-from svcascade.errors import ValidationError
+from svcascade.errors import CapacityError, ValidationError
 from svcascade.triage import TriagePolicy
 
 
@@ -137,6 +138,11 @@ def test_cost_durations_must_be_positive(tmp_path):
                  id="weight-duplicate-language"),
     pytest.param("xeval.languages", "0,0", None, "xeval.languages",
                  id="xeval-duplicate-language"),
+    pytest.param("train.td.batch_n", "9", None, "train.td.batch_n", id="batch-n-above-speakers"),
+    pytest.param("trials.enroll_per_speaker", "6", None, "trials.enroll_per_speaker",
+                 id="enrollment-leaves-no-test-utterance"),
+    pytest.param("corpus.overrides", "1:2", None, "corpus.overrides",
+                 id="override-below-enrollment-and-batch"),
 ])
 def test_rejected_at_parse_time(tmp_path, capsys, key, value, seed, named):
     overrides = {} if key is None else {key: value}
@@ -145,6 +151,26 @@ def test_rejected_at_parse_time(tmp_path, capsys, key, value, seed, named):
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not (tmp_path / "corpus").exists()
+
+
+def test_batch_capacity_counts_only_trained_languages(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("corpus.overrides = 1:2\ntrials.enroll_per_speaker = 1\n"
+                    "train.td.language_weights = 0:1,1:0\ntrain.ti.language_weights = 0:1\n"
+                    "xeval.languages = 0\n")
+    assert parse_config(str(path)).corpus_spec.utterances_for(1) == 2
+
+
+def test_gen_data_writes_nothing_when_a_split_fails(tmp_path):
+    """A config that bypassed the parse-time checks: the trial split fails
+    before the corpus is written, so `train` finds no corpus."""
+    cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path),
+                            **{"corpus.utterances_per_speaker": "6"})
+    cfg = replace(parse_config(str(cfg_path)), enroll_per_speaker=6)
+    with pytest.raises(CapacityError, match="needs 7"):
+        cli.cmd_gen_data(cfg)
+    assert not (tmp_path / "corpus").exists()
+    assert cli.run("train", str(cfg_path)) == 2
 
 
 def test_missing_config_file():
@@ -158,6 +184,11 @@ def test_dependency_errors_in_order(tmp_path, capsys):
                              ("report", "score")):
         assert cli.run(command, str(cfg_path)) == 2
         assert missing in capsys.readouterr().err
+    # xeval scores train's pooled checkpoints; their absence is found before any training
+    assert cli.run("gen-data", str(cfg_path)) == 0
+    assert cli.run("xeval", str(cfg_path)) == 2
+    assert "svcascade train" in capsys.readouterr().err
+    assert not (tmp_path / "checkpoints").exists()
 
 
 GOOD_ARTIFACTS = {
@@ -333,10 +364,21 @@ def test_xeval_matrix(tmp_path):
     cfg_path = write_config(os.path.join(workdir, "exp.cfg"), workdir,
                             **{"train.td.steps": "20", "train.ti.steps": "20"})
     assert cli.run("gen-data", cfg_path) == 0
+    assert cli.run("train", cfg_path) == 0
+    pooled = {name: open(os.path.join(workdir, f"checkpoints/{name}.ckpt"), "rb").read()
+              for name in ("td", "ti")}
     assert cli.run("xeval", cfg_path) == 0
     with open(os.path.join(workdir, "reports/xeval_matrix.csv"), newline="") as f:
         rows = list(csv.reader(f))
-    assert len(rows) == 1 + 2 * 2 * 2  # (2 mono models x 2 langs) x 2 systems
+    assert len(rows) == 1 + 3 * 2 * 2  # (pooled + 2 mono models) x 2 langs x 2 systems
+    assert [r[:4] + r[5:] for r in rows[1:5]] == [
+        ["pooled", "0+1", "td", "0", "0"], ["pooled", "0+1", "ti", "0", "0"],
+        ["pooled", "0+1", "td", "1", "0"], ["pooled", "0+1", "ti", "1", "0"]]
+    assert [(r[0], r[1], r[3], r[5]) for r in rows[5:]] == [
+        (f"mono{m}", str(m), str(e), str(int(m != e))) for m in (0, 1) for e in (0, 1)
+        for _ in ("td", "ti")]
+    for name, data in pooled.items():  # scored, not retrained
+        assert open(os.path.join(workdir, f"checkpoints/{name}.ckpt"), "rb").read() == data
     for lang in (0, 1):
         assert os.path.exists(os.path.join(workdir, f"checkpoints/td_mono{lang}.ckpt"))
         assert os.path.exists(os.path.join(workdir, f"checkpoints/ti_mono{lang}.ckpt"))

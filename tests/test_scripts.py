@@ -1,10 +1,12 @@
 """Smoke tests: each experiment script runs to completion at tiny sizes."""
 
+import csv
 import os
 import subprocess
 import sys
 
 import svcascade
+from test_config_cli import write_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -17,11 +19,16 @@ def run_script(name, *args):
                           env=env, capture_output=True, text=True, timeout=300)
 
 
-def test_multilingual_table_runs():
-    result = run_script("multilingual_table.py", "--languages", "3", "--seeds", "1",
-                        "--steps", "5", "--trials", "10")
+def test_run_pipeline_with_xeval(tmp_path):
+    """Every stage, then the cross-language matrix from `train`'s pooled
+    checkpoints and per-language models."""
+    cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path),
+                            **{"train.td.steps": "10", "train.ti.steps": "10"})
+    result = run_script("run_pipeline.py", "--config", str(cfg_path), "--with-xeval")
     assert result.returncode == 0, result.stderr
-    assert "lang2 (unseen)" in result.stdout
+    with open(tmp_path / "reports" / "xeval_matrix.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["train_lang"] for r in rows if r["model"] == "pooled"] == ["0+1"] * 4
 
 
 def test_benchmark_selftest_runs():
