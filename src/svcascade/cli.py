@@ -47,24 +47,32 @@ def _load_corpus(cfg: ExperimentConfig) -> synthcorpus.Corpus:
     return synthcorpus.load_corpus(cfg.corpus_dir)
 
 
+def _remove(directory: str, *names: str) -> None:
+    """Removes artifacts about to be replaced, so that a run cut short
+    leaves them missing rather than mixed with an older run's."""
+    for path in (os.path.join(directory, name) for name in names):
+        if os.path.exists(path):
+            os.remove(path)
+
+
 def cmd_gen_data(cfg: ExperimentConfig) -> None:
-    """Draws every trial list before writing anything, so a split that fails
-    leaves no corpus behind."""
+    """Draws every trial list before writing anything and writes the corpus
+    last, so a split that fails or a run cut short leaves no corpus."""
     corpus = synthcorpus.generate_corpus(cfg.corpus_spec)
     per_language = [synthcorpus.split_trials(
         corpus, cfg.trial_targets, cfg.trial_nontargets,
         cfg.enroll_per_speaker, seed=cfg.trial_seed + lang, languages=[lang])
         for lang in range(cfg.corpus_spec.languages)]
-    synthcorpus.save_corpus(corpus, cfg.corpus_dir)
+    _remove(cfg.corpus_dir, synthcorpus.CORPUS_FILE)
     for lang, trials in enumerate(per_language):
         synthcorpus.save_trials(trials, _trials_path(cfg, lang))
-    synthcorpus.save_trials(synthcorpus.TrialList(
-        [t for trials in per_language for t in trials]), _trials_path(cfg))
+    synthcorpus.save_trials([t for trials in per_language for t in trials], _trials_path(cfg))
+    synthcorpus.save_corpus(corpus, cfg.corpus_dir)
 
 
 def cmd_train(cfg: ExperimentConfig) -> None:
     corpus = _load_corpus(cfg)
-    os.makedirs(cfg.checkpoint_dir, exist_ok=True)
+    _remove(cfg.checkpoint_dir, "td.ckpt", "ti.ckpt", "loss_td.csv", "loss_ti.csv")
     for name, spec, train_cfg, segment in (
             ("td", cfg.td_network, cfg.td_train, ge2e.SEGMENT_KEYWORD),
             ("ti", cfg.ti_network, cfg.ti_train, ge2e.SEGMENT_KEYWORD_QUERY)):
@@ -78,7 +86,6 @@ def cmd_score(cfg: ExperimentConfig) -> None:
     trials = synthcorpus.load_trials(_require(_trials_path(cfg), "gen-data"), corpus)
     td_params = dvector.load_checkpoint(_require(_ckpt_path(cfg, "td"), "train"))
     ti_params = dvector.load_checkpoint(_require(_ckpt_path(cfg, "ti"), "train"))
-    os.makedirs(cfg.score_dir, exist_ok=True)
     scores = scoring.score_trials(td_params, ti_params, corpus, trials)
     scoring.save_scores(_scores_path(cfg), scores)
 
@@ -89,7 +96,6 @@ def _load_scores(cfg: ExperimentConfig) -> scoring.ScoreTable:
 
 def cmd_fuse_sweep(cfg: ExperimentConfig) -> None:
     result = fusion.sweep_fusion_weight(_load_scores(cfg), cfg.fusion_grid_step)
-    os.makedirs(cfg.report_dir, exist_ok=True)
     fusion.save_sweep_csv(os.path.join(cfg.report_dir, "fusion_sweep.csv"), result)
 
 
@@ -106,7 +112,6 @@ def _resolve_alpha(cfg: ExperimentConfig) -> FusionWeight:
 def cmd_triage_sweep(cfg: ExperimentConfig) -> None:
     scores = _load_scores(cfg)
     alpha = _resolve_alpha(cfg)
-    os.makedirs(cfg.report_dir, exist_ok=True)
     cells = triage.sweep_bands(scores, cfg.band_min, cfg.band_max, cfg.band_step, alpha)
     triage.save_heatmap_csv(os.path.join(cfg.report_dir, "heatmap.csv"), cells)
     triage.save_heatmap_csv(os.path.join(cfg.report_dir, "frontier.csv"),
@@ -119,7 +124,6 @@ def cmd_triage_apply(cfg: ExperimentConfig) -> None:
     scores = _load_scores(cfg)
     policy = triage.TriagePolicy(cfg.triage_lower, cfg.triage_upper, _resolve_alpha(cfg))
     final, triggered = triage.apply_triage(scores, policy)
-    os.makedirs(cfg.score_dir, exist_ok=True)
     with errors.write_atomic(os.path.join(cfg.score_dir, "triaged.tsv")) as f:
         for speaker, utt, target, score, trig in zip(
                 scores.speakers, scores.utterances, scores.labels.tolist(),
@@ -131,7 +135,6 @@ def cmd_triage_apply(cfg: ExperimentConfig) -> None:
 def cmd_eval(cfg: ExperimentConfig) -> None:
     scores = _load_scores(cfg)
     labels = scores.labels
-    os.makedirs(cfg.report_dir, exist_ok=True)
     with errors.write_atomic(os.path.join(cfg.report_dir, "eval.csv")) as f:
         writer = csv.writer(f)
         writer.writerow(["system", "eer_percent", "threshold", "targets", "nontargets"])
@@ -153,7 +156,6 @@ def cmd_xeval(cfg: ExperimentConfig) -> None:
         _require(_trials_path(cfg, lang), "gen-data"), corpus)) for lang in langs]
     td_pooled, ti_pooled = (dvector.load_checkpoint(_require(_ckpt_path(cfg, name), "train"))
                             for name in ("td", "ti"))
-    os.makedirs(cfg.report_dir, exist_ok=True)
     td = ge2e.train_per_language(corpus, cfg.td_network, cfg.td_train, ge2e.SEGMENT_KEYWORD,
                                  {lang: cfg.td_train.seed + 1000 + lang for lang in langs})
     ti = ge2e.train_per_language(corpus, cfg.ti_network, cfg.ti_train,
@@ -199,7 +201,6 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         "expected_latency_seconds=%.9f" % seconds,
         "expected_flops=%.1f" % flops,
     ]
-    os.makedirs(cfg.report_dir, exist_ok=True)
     with errors.write_atomic(os.path.join(cfg.report_dir, "report.txt")) as f:
         f.write("\n".join(lines) + "\n")
 

@@ -16,6 +16,7 @@ outside the time loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -40,9 +41,6 @@ class NetworkSpec:
             raise ValidationError(
                 f"network spec: output_dim {self.output_dim} must equal "
                 f"projection_dim {self.projection_dim}")
-
-    def layer_input_dim(self, layer: int) -> int:
-        return self.input_dim if layer == 0 else self.projection_dim
 
 
 SPEC_FIELDS = tuple(f.name for f in fields(NetworkSpec))  # also a checkpoint's spec members
@@ -71,22 +69,20 @@ class Parameters:
         self.values[name] = value
 
 
-def param_names(spec: NetworkSpec) -> list[str]:
-    names = []
-    for layer in range(spec.num_layers):
-        names += [f"layer{layer}/w", f"layer{layer}/b", f"layer{layer}/proj"]
-    names += ["out/weight", "out/bias", "ge2e/scale", "ge2e/offset"]
-    return names
-
-
 def param_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
+    """The network's one description: every parameter's shape, in the
+    canonical order that initialization and checkpoints follow.  Layer 0
+    reads the input frames, every later layer the projection below it."""
+    spec.validate()
+    c, p = spec.cells, spec.projection_dim
     shapes: dict[str, tuple[int, ...]] = {}
+    in_dim = spec.input_dim
     for layer in range(spec.num_layers):
-        in_dim = spec.layer_input_dim(layer) + spec.projection_dim
-        shapes[f"layer{layer}/w"] = (4 * spec.cells, in_dim)
-        shapes[f"layer{layer}/b"] = (4 * spec.cells,)
-        shapes[f"layer{layer}/proj"] = (spec.projection_dim, spec.cells)
-    shapes["out/weight"] = (spec.output_dim, spec.projection_dim)
+        shapes[f"layer{layer}/w"] = (4 * c, in_dim + p)
+        shapes[f"layer{layer}/b"] = (4 * c,)
+        shapes[f"layer{layer}/proj"] = (p, c)
+        in_dim = p
+    shapes["out/weight"] = (spec.output_dim, p)
     shapes["out/bias"] = (spec.output_dim,)
     shapes["ge2e/scale"] = ()
     shapes["ge2e/offset"] = ()
@@ -98,7 +94,6 @@ def init_network(spec: NetworkSpec, seed: int) -> Parameters:
     gate (1.0), similarity scale 10 and offset -5; weights are float32 values.
     `ge2e/offset` moves only under the contrast loss, because softmax is
     shift-invariant."""
-    spec.validate()
     rng = np.random.default_rng(seed)
     c = spec.cells
     values: dict[str, np.ndarray] = {}
@@ -231,10 +226,7 @@ def _lstmp_layer_backward(params: Parameters, layer: int, lc: dict, d_out: np.nd
         dm = da @ P
         dc = dm * dc_dm[t] + dc_next
         dz = dZ[t]
-        dz[:, :c] *= dc
-        dz[:, c:2 * c] *= dc
-        dz[:, 2 * c:3 * c] *= dm
-        dz[:, 3 * c:] *= dc
+        dz *= np.concatenate([dc, dc, dm, dc], axis=1)
         dc_next = dc * f[t]
         dh = dz @ W[:, in_dim:]
     dZ = dZ.reshape(T * B, 4 * c)
@@ -269,32 +261,20 @@ def backward_batch(params: Parameters, cache: dict, d_emb: np.ndarray) -> Parame
 
 
 def param_count(spec: NetworkSpec) -> int:
-    spec.validate()
-    total = 0
-    for layer in range(spec.num_layers):
-        in_dim = spec.layer_input_dim(layer)
-        total += 4 * spec.cells * (in_dim + spec.projection_dim)  # gate weights
-        total += 4 * spec.cells  # gate biases
-        total += spec.projection_dim * spec.cells  # projection
-    total += spec.output_dim * spec.projection_dim + spec.output_dim  # final linear
-    return total
-
-
-def flops_per_frame(spec: NetworkSpec) -> int:
-    """Matrix multiply-accumulates only (2 flops each); elementwise ops excluded."""
-    macs = 0
-    for layer in range(spec.num_layers):
-        in_dim = spec.layer_input_dim(layer)
-        macs += 4 * spec.cells * (in_dim + spec.projection_dim)
-        macs += spec.projection_dim * spec.cells
-    return 2 * macs
+    """The network's weights and biases, without the two GE2E scalars."""
+    return sum(math.prod(shape) for name, shape in param_shapes(spec).items()
+               if not name.startswith("ge2e/"))
 
 
 def flops_per_utterance(spec: NetworkSpec, num_frames: int) -> int:
-    spec.validate()
+    """Matrix multiply-accumulates only (2 flops each): every frame passes
+    each layer's gate and projection matrices, the last frame the output
+    matrix; elementwise ops excluded."""
+    shapes = param_shapes(spec)
     if num_frames < 1:
         raise ValidationError(f"num_frames must be >= 1, got {num_frames}")
-    return flops_per_frame(spec) * num_frames + 2 * spec.output_dim * spec.projection_dim
+    per_frame = sum(math.prod(s) for name, s in shapes.items() if name.endswith(("/w", "/proj")))
+    return 2 * (per_frame * num_frames + math.prod(shapes["out/weight"]))
 
 
 # --- checkpoint persistence -------------------------------------------------
@@ -305,7 +285,7 @@ def save_checkpoint(path: str, params: Parameters) -> None:
     int64 array and each parameter as exact <f8 under its canonical name.  A
     NaN or inf is a NumericError naming its parameter, and nothing is written."""
     arrays = {name: np.array(getattr(params.spec, name), dtype=np.int64) for name in SPEC_FIELDS}
-    for name in param_names(params.spec):
+    for name in param_shapes(params.spec):
         arrays[name] = np.asarray(params[name], dtype="<f8")
         if not np.all(np.isfinite(arrays[name])):
             raise NumericError(f"{path}: parameter {name} is not finite; nothing written")
@@ -318,7 +298,6 @@ def _checkpoint_members(arrays: dict[str, np.ndarray]) -> set[str]:
         if name not in arrays or arrays[name].shape != () or arrays[name].dtype.kind != "i":
             raise ValidationError(f"spec field {name} must be a single int")
     spec = NetworkSpec(**{name: arrays[name].item() for name in SPEC_FIELDS})
-    spec.validate()
     return {*SPEC_FIELDS, *param_shapes(spec)}
 
 
@@ -332,4 +311,4 @@ def load_checkpoint(path: str) -> Parameters:
         if value.dtype != np.dtype("<f8") or value.shape != shape or not np.all(np.isfinite(value)):
             raise ValidationError(f"{path}: parameter {name} must be finite <f8 of shape {shape}, "
                                   f"got {value.dtype.str} {value.shape}")
-    return Parameters(spec, {name: arrays[name] for name in param_names(spec)})
+    return Parameters(spec, {name: arrays[name] for name in param_shapes(spec)})

@@ -54,9 +54,10 @@ def read_text(path: str) -> str:
 
 @contextlib.contextmanager
 def write_atomic(path: str, binary: bool = False):
-    """A file opened at path + ".partial", as bytes or as UTF-8 text without
-    newline translation, and renamed to `path` when the block ends.  If the
-    block raises, the partial file is removed and `path` is left untouched."""
+    """A file opened at path + ".partial" (its directory made if missing), as
+    bytes or as UTF-8 text without newline translation, and renamed to `path`
+    when the block ends.  If it raises, that file is removed and `path` kept."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     partial = path + ".partial"
     try:
         with (open(partial, "wb") if binary

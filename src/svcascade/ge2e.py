@@ -189,19 +189,13 @@ def gradient_check(params: dvector.Parameters, batch_frames: np.ndarray, kind: s
     if sample_count < 1:
         raise ValidationError("sample_count must be >= 1")
     _, grads = backward(params, batch_frames, kind)
-    names = dvector.param_names(params.spec)
-    sizes = [params[n].size for n in names]
-    total = sum(sizes)
+    coords = [(name, local) for name, value in params.values.items()
+              for local in range(value.size)]  # every coordinate, in parameter order
     rng = np.random.default_rng(seed)
-    coords = rng.choice(total, size=min(sample_count, total), replace=False)
-
-    offsets = np.cumsum([0] + sizes)
+    picks = rng.choice(len(coords), size=min(sample_count, len(coords)), replace=False)
     work = params.copy()
     max_rel = 0.0
-    for flat_idx in coords:
-        block = int(np.searchsorted(offsets, flat_idx, side="right")) - 1
-        name = names[block]
-        local = int(flat_idx - offsets[block])
+    for name, local in (coords[k] for k in picks):
         arr = work[name].reshape(-1)  # a view, for the 0-d scale and offset too
         orig = arr[local]
         arr[local] = orig + epsilon

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dvector, errors, ge2e
 from .errors import ValidationError
-from .synthcorpus import Corpus, TrialList
+from .synthcorpus import Corpus, Trial
 
 NORM_TOLERANCE = 1e-4
 
@@ -70,7 +70,7 @@ _SCORE_BATCH = 32  # utterances per forward_batch call, so peak RSS does not gro
 
 
 def system_scores(params: dvector.Parameters, segment: str, corpus: Corpus,
-                  trials: TrialList) -> np.ndarray:
+                  trials: list[Trial]) -> np.ndarray:
     """One system's cosine score of every trial, in trial order.
 
     Each distinct utterance is embedded once, in batches of at most
@@ -99,7 +99,7 @@ def system_scores(params: dvector.Parameters, segment: str, corpus: Corpus,
 
 
 def score_trials(td_params: dvector.Parameters, ti_params: dvector.Parameters | None,
-                 corpus: Corpus, trials: TrialList) -> ScoreTable:
+                 corpus: Corpus, trials: list[Trial]) -> ScoreTable:
     """Scores every trial: TD on the keyword, TI on keyword + query; TI
     scores are omitted when ti_params is None."""
     return ScoreTable(

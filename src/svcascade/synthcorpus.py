@@ -111,17 +111,6 @@ class Trial:
     is_target: bool
 
 
-@dataclass
-class TrialList:
-    trials: list[Trial]
-
-    def __iter__(self):
-        return iter(self.trials)
-
-    def __len__(self) -> int:
-        return len(self.trials)
-
-
 def speaker_id(language: int, speaker: int) -> str:
     return f"l{language}s{speaker}"
 
@@ -179,7 +168,7 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
 
 def split_trials(corpus: Corpus, target_trials: int, nontarget_trials: int,
                  enroll_utterances_per_speaker: int, seed: int,
-                 languages: list[int] | None = None) -> TrialList:
+                 languages: list[int] | None = None) -> list[Trial]:
     """Draw trial lists with per-speaker enrollment sets disjoint from test pools.
 
     Enrollment utterances are chosen once per speaker; trials pair them with
@@ -232,7 +221,7 @@ def split_trials(corpus: Corpus, target_trials: int, nontarget_trials: int,
         s, other = speakers[i], speakers[j]
         test = test_pool[other][rng.integers(len(test_pool[other]))]
         trials.append(Trial(s, enroll[s], test, False))
-    return TrialList(trials)
+    return trials
 
 
 # --- persistence ------------------------------------------------------------
@@ -245,7 +234,6 @@ def save_corpus(corpus: Corpus, directory: str) -> None:
     as (language, count) rows, and the keyword and query frames stacked in
     utterance order.  It is written under a temporary name and renamed, so
     an interrupted run leaves no corpus file."""
-    os.makedirs(directory, exist_ok=True)
     spec = corpus.spec
     arrays = {**asdict(spec), "utterance_overrides": np.array(
                   sorted(spec.utterance_overrides.items()), dtype=np.int64).reshape(-1, 2),
@@ -285,7 +273,7 @@ def load_corpus(directory: str) -> Corpus:
         for key, keyword, query in zip(keys, arrays["keyword"], arrays["query"])])
 
 
-def save_trials(trials: TrialList, path: str) -> None:
+def save_trials(trials: list[Trial], path: str) -> None:
     with errors.write_atomic(path) as f:
         for t in trials:
             label = "tgt" if t.is_target else "non"
@@ -293,7 +281,7 @@ def save_trials(trials: TrialList, path: str) -> None:
                     f"{t.test_utterance_id}\t{label}\n")
 
 
-def load_trials(path: str, corpus: Corpus) -> TrialList:
+def load_trials(path: str, corpus: Corpus) -> list[Trial]:
     trials = []
     for lineno, line in enumerate(errors.read_text(path).split("\n"), 1):
         if not line:
@@ -318,4 +306,4 @@ def load_trials(path: str, corpus: Corpus) -> TrialList:
             raise ValidationError(
                 f"{path}:{lineno}: label {parts[3]} disagrees with test speaker {test.speaker_id}")
         trials.append(trial)
-    return TrialList(trials)
+    return trials

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from svcascade import cli
+from svcascade import cli, ge2e, synthcorpus
 from svcascade.config import parse_config
 from svcascade.errors import CapacityError, ValidationError
 from svcascade.triage import TriagePolicy
@@ -189,6 +189,34 @@ def test_dependency_errors_in_order(tmp_path, capsys):
     assert cli.run("xeval", str(cfg_path)) == 2
     assert "svcascade train" in capsys.readouterr().err
     assert not (tmp_path / "checkpoints").exists()
+
+
+@pytest.mark.parametrize("command, module, name, call", [
+    pytest.param("gen-data", synthcorpus, "save_trials", 1, id="gen-data-at-first-trial-list"),
+    pytest.param("train", ge2e, "train", 2, id="train-during-ti-training"),
+])
+def test_interrupted_rerun_leaves_no_mixed_set(tmp_path, capsys, monkeypatch,
+                                               command, module, name, call):
+    """A seed-1 rerun of `command` over a complete seed-0 set, cut short by a
+    KeyboardInterrupt at the `call`-th call of module.name, leaves a set that
+    `score` refuses as incomplete instead of scoring a mix of the two seeds."""
+    cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path))
+    assert cli.run("gen-data", str(cfg_path)) == 0
+    assert cli.run("train", str(cfg_path)) == 0
+    original, calls = getattr(module, name), []
+
+    def interrupt(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise KeyboardInterrupt
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.run(command, str(cfg_path), seed=1)
+    capsys.readouterr()
+    assert cli.run("score", str(cfg_path), seed=1) == 2
+    assert f"run `svcascade {command}` first" in capsys.readouterr().err
 
 
 GOOD_ARTIFACTS = {

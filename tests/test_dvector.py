@@ -10,7 +10,7 @@ from svcascade import dvector
 from svcascade.dvector import (
     TD_SMALL, TD_SPEC, TI_SMALL, TI_SPEC, NetworkSpec, Parameters,
     flops_per_utterance, forward_embedding, init_network, load_checkpoint,
-    param_count, param_names, param_shapes, save_checkpoint)
+    param_count, param_shapes, save_checkpoint)
 from svcascade.errors import NumericError, ValidationError
 
 
@@ -32,7 +32,10 @@ def test_param_count_matches_actual_shapes():
 
 
 def test_flops_single_frame_td():
-    assert flops_per_utterance(TD_SPEC, 1) == 466_944
+    # and at the production decision shapes, which pin the TI stack's widths too
+    for spec, frames, flops in ((TD_SPEC, 1, 466_944), (TD_SPEC, 70, 32_120_832),
+                                (TI_SPEC, 370, 927_531_008)):
+        assert flops_per_utterance(spec, frames) == flops, (spec, frames)
 
 
 def test_flops_linear_in_frames():
@@ -62,7 +65,8 @@ def test_init_forget_bias_and_bounds():
         b = params[f"layer{layer}/b"]
         assert np.all(b[c:2 * c] == 1.0)
         assert np.all(b[:c] == 0.0)
-        in_dim = TD_SMALL.layer_input_dim(layer) + TD_SMALL.projection_dim
+        in_dim = TD_SMALL.projection_dim + (
+            TD_SMALL.input_dim if layer == 0 else TD_SMALL.projection_dim)
         bound = np.sqrt(6.0 / (in_dim + TD_SMALL.cells))
         w = params[f"layer{layer}/w"]
         for gate in range(4):
@@ -134,7 +138,7 @@ def assert_roundtrip(path, params):
     save_checkpoint(str(path), params)
     loaded = load_checkpoint(str(path))
     assert loaded.spec == params.spec
-    assert list(loaded.values) == param_names(params.spec)
+    assert list(loaded.values) == list(param_shapes(params.spec))
     for name, value in params.values.items():
         assert loaded[name].dtype == np.float64 and loaded[name].shape == value.shape, name
         assert np.array_equal(loaded[name], value), name

@@ -95,7 +95,7 @@ def test_split_trials_deterministic():
     corpus = generate_corpus(small_spec())
     a = split_trials(corpus, 50, 50, 2, seed=9)
     b = split_trials(corpus, 50, 50, 2, seed=9)
-    assert a.trials == b.trials
+    assert a == b
 
 
 def test_no_enrollment_test_leakage():
@@ -187,4 +187,4 @@ def test_trial_tsv_roundtrip(tmp_path):
     save_trials(trials, str(path))
     first = path.read_text().splitlines()[0].split("\t")
     assert len(first) == 4 and first[3] in ("tgt", "non")
-    assert load_trials(str(path), corpus).trials == trials.trials
+    assert load_trials(str(path), corpus) == trials
