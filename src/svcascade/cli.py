@@ -10,7 +10,6 @@ Exit codes: 0 ok, 1 validation, 2 missing prerequisite, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -18,9 +17,6 @@ from . import dvector, errors, fusion, ge2e, metrics, scoring, synthcorpus, tria
 from .config import ExperimentConfig, parse_config
 from .errors import DependencyError, ToolError
 from .fusion import FusionWeight
-
-COMMANDS = ("gen-data", "train", "score", "fuse-sweep", "triage-sweep",
-            "triage-apply", "eval", "xeval", "report")
 
 
 def _require(path: str, producer: str) -> str:
@@ -124,26 +120,19 @@ def cmd_triage_apply(cfg: ExperimentConfig) -> None:
     scores = _load_scores(cfg)
     policy = triage.TriagePolicy(cfg.triage_lower, cfg.triage_upper, _resolve_alpha(cfg))
     final, triggered = triage.apply_triage(scores, policy)
-    with errors.write_atomic(os.path.join(cfg.score_dir, "triaged.tsv")) as f:
-        for speaker, utt, target, score, trig in zip(
-                scores.speakers, scores.utterances, scores.labels.tolist(),
-                final.tolist(), triggered.tolist()):
-            label = "tgt" if target else "non"
-            f.write(f"{speaker}\t{utt}\t{label}\t{'%.9f' % score}\t{int(trig)}\n")
+    errors.write_table(os.path.join(cfg.score_dir, "triaged.tsv"), zip(
+        scores.speakers, scores.utterances, ["tgt" if t else "non" for t in scores.labels.tolist()],
+        ["%.9f" % s for s in final.tolist()], ["1" if t else "0" for t in triggered.tolist()]))
 
 
 def cmd_eval(cfg: ExperimentConfig) -> None:
     scores = _load_scores(cfg)
-    labels = scores.labels
-    with errors.write_atomic(os.path.join(cfg.report_dir, "eval.csv")) as f:
-        writer = csv.writer(f)
-        writer.writerow(["system", "eer_percent", "threshold", "targets", "nontargets"])
-        for system, column in (("td", scores.td), ("ti", scores.ti)):
-            if column is None:
-                continue
-            r = metrics.compute_eer(column[labels], column[~labels])
-            writer.writerow([system, "%.2f" % (100.0 * r.eer), "%.9f" % r.eer_threshold,
-                             r.num_targets, r.num_nontargets])
+    results = [(system, metrics.compute_eer(column[scores.labels], column[~scores.labels]))
+               for system, column in (("td", scores.td), ("ti", scores.ti)) if column is not None]
+    errors.write_table(os.path.join(cfg.report_dir, "eval.csv"), (
+        (system, "%.2f" % (100.0 * r.eer), "%.9f" % r.eer_threshold, str(r.num_targets),
+         str(r.num_nontargets)) for system, r in results),
+        header=("system", "eer_percent", "threshold", "targets", "nontargets"), sep=",")
 
 
 def cmd_xeval(cfg: ExperimentConfig) -> None:
@@ -216,6 +205,7 @@ HANDLERS = {
     "xeval": cmd_xeval,
     "report": cmd_report,
 }
+COMMANDS = tuple(HANDLERS)
 
 
 def run(command: str, config_path: str, seed: int | None = None) -> int:

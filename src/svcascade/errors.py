@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the toolkit, and the file I/O every
-artifact goes through: one atomic writer, the npz writer and reader built
-on it, and the text reader that names undecodable bytes.
+artifact goes through: one atomic writer, the npz and table writers and
+readers built on it, and the text reader that names undecodable bytes.
 
 Exit-code mapping for the CLI: validation problems are 1, missing
 prerequisite artifacts are 2, numeric failures are 3.
@@ -9,7 +9,7 @@ prerequisite artifacts are 2, numeric failures are 3.
 import contextlib
 import os
 import zipfile
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,6 +67,33 @@ def write_atomic(path: str, binary: bool = False):
     finally:
         if os.path.exists(partial):
             os.remove(partial)
+
+
+def write_table(path: str, rows: Iterable[Sequence[str]], header: Sequence[str] | None = None,
+                sep: str = "\t") -> None:
+    """`header`, then each row of strings, as lines of `sep`-joined fields, written
+    atomically.  Lines end in CRLF for a comma, as the csv module writes, else in LF."""
+    end = "\r\n" if sep == "," else "\n"
+    with write_atomic(path) as f:
+        if header is not None:
+            f.write(sep.join(header) + end)
+        f.writelines(sep.join(row) + end for row in rows)
+
+
+def read_table(path: str, width: int, header: Sequence[str] | None = None,
+               sep: str = "\t") -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank line of a write_table file
+    after its `header`.  A first line other than `header`, or a line without
+    exactly `width` fields, is a ValidationError naming path:line."""
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        if lineno == 1 and header is not None:
+            if line != sep.join(header):
+                raise ValidationError(f"{path}:1: expected the header {sep.join(header)!r}")
+        elif line:
+            fields = line.split(sep)
+            if len(fields) != width:
+                raise ValidationError(f"{path}:{lineno}: expected {width} fields")
+            yield lineno, fields
 
 
 def write_npz(path: str, arrays: dict[str, np.ndarray]) -> None:

@@ -48,7 +48,6 @@ class Waveform:
 class FeatureSequence:
     frames: np.ndarray  # (T, D)
     kind: str  # RAW_MEL or STACKED_NORMALIZED
-    frame_shift_ms: int = 10
 
     def validate(self) -> None:
         expected = {RAW_MEL: NUM_MEL_BINS, STACKED_NORMALIZED: 2 * NUM_MEL_BINS}
@@ -86,17 +85,19 @@ def mel_filterbank() -> tuple[np.ndarray, np.ndarray]:
     return filters, edges_hz[1:-1]
 
 
+MEL_FILTERS = mel_filterbank()[0]
+HANN_WINDOW = np.hanning(WINDOW_SAMPLES)
+
+
 def extract_logmel(waveform: Waveform) -> FeatureSequence:
     waveform.validate()
     samples = np.asarray(waveform.samples, dtype=np.float64)
     num_frames = (len(samples) - WINDOW_SAMPLES) // HOP_SAMPLES + 1
-    window = np.hanning(WINDOW_SAMPLES)
-    filters, _ = mel_filterbank()
     idx = np.arange(WINDOW_SAMPLES)[None, :] + HOP_SAMPLES * np.arange(num_frames)[:, None]
-    windowed = samples[idx] * window[None, :]
+    windowed = samples[idx] * HANN_WINDOW[None, :]
     spectrum = np.fft.rfft(windowed, n=FFT_SIZE, axis=1)
     power = np.abs(spectrum) ** 2
-    mel_energy = power @ filters.T
+    mel_energy = power @ MEL_FILTERS.T
     logmel = np.log(np.maximum(mel_energy, LOG_FLOOR))
     return FeatureSequence(frames=logmel, kind=RAW_MEL)
 

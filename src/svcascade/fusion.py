@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,27 +52,21 @@ def sweep_fusion_weight(scores: ScoreTable, grid_step: float = 0.01) -> FusionSw
 
 
 def save_sweep_csv(path: str, result: FusionSweepResult) -> None:
-    with errors.write_atomic(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["alpha", "eer"])
-        for alpha, eer in result.table:
-            writer.writerow(["%.6f" % alpha, "%.9f" % eer])
+    errors.write_table(path, (("%.6f" % alpha, "%.9f" % eer) for alpha, eer in result.table),
+                       header=("alpha", "eer"), sep=",")
 
 
 def load_sweep_csv(path: str) -> FusionSweepResult:
     table = []
-    reader = csv.reader(io.StringIO(errors.read_text(path)))
-    if next(reader, None) != ["alpha", "eer"]:
-        raise ValidationError(f"{path}: not a fusion sweep file")
-    for row in reader:
+    for lineno, row in errors.read_table(path, 2, header=("alpha", "eer"), sep=","):
         try:
             alpha, eer = (float(v) for v in row)
         except ValueError:
             raise ValidationError(
-                f"{path}:{reader.line_num}: expected two numbers (alpha, eer)") from None
+                f"{path}:{lineno}: expected two numbers (alpha, eer)") from None
         if not (0.0 <= alpha <= 1.0 and 0.0 <= eer <= 1.0):
             raise ValidationError(
-                f"{path}:{reader.line_num}: alpha and eer must be in [0, 1], got {alpha}, {eer}")
+                f"{path}:{lineno}: alpha and eer must be in [0, 1], got {alpha}, {eer}")
         table.append((alpha, eer))
     if not table:
         raise ValidationError(f"{path}: empty fusion sweep")

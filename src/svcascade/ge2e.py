@@ -10,7 +10,6 @@ update.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -189,13 +188,15 @@ def gradient_check(params: dvector.Parameters, batch_frames: np.ndarray, kind: s
     if sample_count < 1:
         raise ValidationError("sample_count must be >= 1")
     _, grads = backward(params, batch_frames, kind)
-    coords = [(name, local) for name, value in params.values.items()
-              for local in range(value.size)]  # every coordinate, in parameter order
+    names = list(params.values)  # flat index k lies in names[i] for the first i with ends[i] > k
+    ends = np.cumsum([params[name].size for name in names])
     rng = np.random.default_rng(seed)
-    picks = rng.choice(len(coords), size=min(sample_count, len(coords)), replace=False)
+    picks = rng.choice(int(ends[-1]), size=min(sample_count, int(ends[-1])), replace=False)
     work = params.copy()
     max_rel = 0.0
-    for name, local in (coords[k] for k in picks):
+    for k in picks.tolist():
+        i = int(np.searchsorted(ends, k, side="right"))
+        name, local = names[i], k - int(ends[i]) + params[names[i]].size
         arr = work[name].reshape(-1)  # a view, for the 0-d scale and offset too
         orig = arr[local]
         arr[local] = orig + epsilon
@@ -288,8 +289,5 @@ def train_per_language(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConf
 
 
 def save_loss_trace(path: str, trace: list[tuple[int, float, int]]) -> None:
-    with errors.write_atomic(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "loss", "language"])
-        for step, loss, lang in trace:
-            writer.writerow([step, "%.9f" % loss, lang])
+    errors.write_table(path, ((str(step), "%.9f" % loss, str(lang)) for step, loss, lang in trace),
+                       header=("step", "loss", "language"), sep=",")

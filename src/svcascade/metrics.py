@@ -16,7 +16,6 @@ EER is a fraction in [0, 1] internally; reports convert to percent.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -118,11 +117,8 @@ def cross_eval_matrix(models, eval_sets, scorer) -> list[MatrixCell]:
 
 def save_matrix_csv(path: str, cells: list[MatrixCell]) -> None:
     """One row per cell; train_lang joins the training languages with `+`."""
-    with errors.write_atomic(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["model", "train_lang", "system", "eval_lang",
-                         "eer_percent", "cross_lingual"])
-        for cell in cells:
-            writer.writerow([cell.model_name, "+".join(map(str, cell.train_language)),
-                             cell.system, cell.eval_language,
-                             "%.2f" % (100.0 * cell.result.eer), int(cell.cross_lingual)])
+    errors.write_table(path, ((c.model_name, "+".join(map(str, c.train_language)), c.system,
+                               str(c.eval_language), "%.2f" % (100.0 * c.result.eer),
+                               str(int(c.cross_lingual))) for c in cells),
+                       header=("model", "train_lang", "system", "eval_lang", "eer_percent",
+                               "cross_lingual"), sep=",")

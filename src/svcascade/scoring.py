@@ -114,25 +114,19 @@ def score_trials(td_params: dvector.Parameters, ti_params: dvector.Parameters | 
 def save_scores(path: str, scores: ScoreTable) -> None:
     """TSV: enroll_speaker, test_utt, label, td_score, ti_score with fixed
     9-decimal formatting for bit-reproducible reports."""
-    ti = [None] * len(scores.td) if scores.ti is None else scores.ti.tolist()
-    with errors.write_atomic(path) as f:
-        for speaker, utt, target, td_score, ti_score in zip(
-                scores.speakers, scores.utterances, scores.labels.tolist(),
-                scores.td.tolist(), ti):
-            label = "tgt" if target else "non"
-            ti_text = "NA" if ti_score is None else "%.9f" % ti_score
-            f.write(f"{speaker}\t{utt}\t{label}\t{'%.9f' % td_score}\t{ti_text}\n")
+    ti = (["NA"] * len(scores.td) if scores.ti is None
+          else ["%.9f" % s for s in scores.ti.tolist()])
+    errors.write_table(path, zip(
+        scores.speakers, scores.utterances, ["tgt" if t else "non" for t in scores.labels.tolist()],
+        ["%.9f" % s for s in scores.td.tolist()], ti))
 
 
 def load_scores(path: str) -> ScoreTable:
     """Reads save_scores' TSV; scores must be finite, and the TI column
     must be NA on every line or on none."""
     speakers, utterances, labels, td, ti = [], [], [], [], []
-    for lineno, line in enumerate(errors.read_text(path).split("\n"), 1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5 or parts[2] not in ("tgt", "non"):
+    for lineno, parts in errors.read_table(path, 5):
+        if parts[2] not in ("tgt", "non"):
             raise ValidationError(f"{path}:{lineno}: malformed score line")
         try:
             td.append(float(parts[3]))

@@ -274,20 +274,15 @@ def load_corpus(directory: str) -> Corpus:
 
 
 def save_trials(trials: list[Trial], path: str) -> None:
-    with errors.write_atomic(path) as f:
-        for t in trials:
-            label = "tgt" if t.is_target else "non"
-            f.write(f"{t.enroll_speaker_id}\t{','.join(t.enroll_utterance_ids)}\t"
-                    f"{t.test_utterance_id}\t{label}\n")
+    errors.write_table(path, ((t.enroll_speaker_id, ",".join(t.enroll_utterance_ids),
+                               t.test_utterance_id, "tgt" if t.is_target else "non")
+                              for t in trials))
 
 
 def load_trials(path: str, corpus: Corpus) -> list[Trial]:
     trials = []
-    for lineno, line in enumerate(errors.read_text(path).split("\n"), 1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4 or parts[3] not in ("tgt", "non"):
+    for lineno, parts in errors.read_table(path, 4):
+        if parts[3] not in ("tgt", "non"):
             raise ValidationError(f"{path}:{lineno}: malformed trial line")
         trial = Trial(parts[0], tuple(parts[1].split(",")), parts[2], parts[3] == "tgt")
         try:

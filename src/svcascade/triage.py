@@ -13,15 +13,13 @@ scores that every empty band leaves.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import errors
-from .errors import DependencyError, ValidationError
+from .errors import ValidationError
 from .fusion import FusionWeight
 from .metrics import compute_eer, far_frr_from_counts, interpolate_eer
 from .scoring import ScoreTable
@@ -305,20 +303,15 @@ def pareto_frontier(cells: list[BandCell]) -> list[BandCell]:
 
 
 def save_heatmap_csv(path: str, cells: list[BandCell]) -> None:
-    with errors.write_atomic(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["lower", "upper", "eer", "trigger_rate"])
-        for cell in cells:
-            writer.writerow(["%.6f" % cell.lower, "%.6f" % cell.upper,
-                             "%.9f" % cell.eer, "%.9f" % cell.trigger_rate])
+    errors.write_table(path, (("%.6f" % c.lower, "%.6f" % c.upper, "%.9f" % c.eer,
+                               "%.9f" % c.trigger_rate) for c in cells),
+                       header=("lower", "upper", "eer", "trigger_rate"), sep=",")
 
 
 def save_prior_curve_csv(path: str, points: list[PriorPoint]) -> None:
-    with errors.write_atomic(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["prior", "trigger_rate", "eer"])
-        for pt in points:
-            writer.writerow(["%.6f" % pt.prior, "%.9f" % pt.trigger_rate, "%.9f" % pt.eer])
+    errors.write_table(path, (("%.6f" % p.prior, "%.6f" % p.lower, "%.6f" % p.upper,
+                               "%.9f" % p.trigger_rate, "%.9f" % p.eer) for p in points),
+                       header=("prior", "lower", "upper", "trigger_rate", "eer"), sep=",")
 
 
 def load_heatmap_csv(path: str) -> tuple[float, float, float, float]:
@@ -326,23 +319,21 @@ def load_heatmap_csv(path: str) -> tuple[float, float, float, float]:
     lowest EER, then lowest trigger rate (prior 0.5, as the heat map stores
     it), then lowest band."""
     best = None
-    reader = csv.reader(io.StringIO(errors.read_text(path)))
-    if next(reader, None) != ["lower", "upper", "eer", "trigger_rate"]:
-        raise DependencyError(f"{path} is not a heat map; run `svcascade triage-sweep`")
-    for row in reader:
+    for lineno, row in errors.read_table(path, 4, header=("lower", "upper", "eer", "trigger_rate"),
+                                         sep=","):
         try:
             lower, upper, eer, rate = (float(v) for v in row)
         except ValueError:
             raise ValidationError(
-                f"{path}:{reader.line_num}: expected four numbers "
+                f"{path}:{lineno}: expected four numbers "
                 "(lower, upper, eer, trigger_rate)") from None
         if not (-1.0 <= lower <= upper <= 1.0 and 0.0 <= eer <= 1.0 and 0.0 <= rate <= 1.0):
             raise ValidationError(
-                f"{path}:{reader.line_num}: need -1 <= lower <= upper <= 1 and eer, "
+                f"{path}:{lineno}: need -1 <= lower <= upper <= 1 and eer, "
                 f"trigger_rate in [0, 1], got {row}")
         if best is None or (eer, rate, lower, upper) < best:
             best = (eer, rate, lower, upper)
     if best is None:
-        raise DependencyError(f"{path} is empty; run `svcascade triage-sweep`")
+        raise ValidationError(f"{path}: empty heat map")
     eer, rate, lower, upper = best
     return lower, upper, eer, rate

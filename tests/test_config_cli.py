@@ -248,6 +248,12 @@ def _add_member(path):
                  "report", "fusion_sweep.csv:3", id="sweep-alpha-out-of-range"),
     pytest.param("reports/fusion_sweep.csv", "alpha,eer\nnan,0.0\n",
                  "triage-sweep", "fusion_sweep.csv:2", id="sweep-nan"),
+    pytest.param("reports/fusion_sweep.csv", "alpha,err\n0.0,0.1\n",
+                 "report", "fusion_sweep.csv:1", id="sweep-wrong-header"),
+    pytest.param("reports/heatmap.csv", "lower,upper,trigger_rate,eer\n0.0,0.0,0.0,0.0\n",
+                 "report", "heatmap.csv:1", id="heatmap-wrong-header"),
+    pytest.param("reports/heatmap.csv", "lower,upper,eer,trigger_rate\r\n",
+                 "report", "heatmap.csv: empty heat map", id="heatmap-no-rows"),
     pytest.param("reports/heatmap.csv", "lower,upper,eer,trigger_rate\n0.0,0.0,x,0.0\n",
                  "report", "heatmap.csv:2", id="heatmap-non-numeric"),
     pytest.param("reports/heatmap.csv", "lower,upper,eer,trigger_rate\n0.0,0.0,0.0,0.0\n"
@@ -334,11 +340,13 @@ def test_pipeline_artifacts_exist(pipeline):
         assert os.path.exists(os.path.join(pipeline, rel)), rel
 
 
+def report_rows(pipeline, name):
+    with open(os.path.join(pipeline, "reports", name), newline="") as f:
+        return list(csv.reader(f))
+
+
 def test_frontier_is_pareto_front_of_heatmap(pipeline):
-    def rows(name):
-        with open(os.path.join(pipeline, "reports", name), newline="") as f:
-            return list(csv.reader(f))
-    heatmap, frontier = rows("heatmap.csv"), rows("frontier.csv")
+    heatmap, frontier = report_rows(pipeline, "heatmap.csv"), report_rows(pipeline, "frontier.csv")
     assert frontier[0] == heatmap[0] == ["lower", "upper", "eer", "trigger_rate"]
     heatmap, frontier = heatmap[1:], frontier[1:]
     assert frontier and all(row in heatmap for row in frontier)
@@ -346,6 +354,17 @@ def test_frontier_is_pareto_front_of_heatmap(pipeline):
     assert all(a < b for a, b in zip(rates, rates[1:]))
     assert all(a > b for a, b in zip(eers, eers[1:]))
     assert eers[-1] == min(float(r[2]) for r in heatmap)
+
+
+def test_prior_curve_rows_are_heatmap_cells(pipeline):
+    heatmap, curve = report_rows(pipeline, "heatmap.csv"), report_rows(pipeline, "prior_curve.csv")
+    assert curve[0] == ["prior", "lower", "upper", "trigger_rate", "eer"]
+    cells = {(lower, upper, eer): rate for lower, upper, eer, rate in heatmap[1:]}
+    assert len(curve) - 1 == 3 * len(cells)  # the default priors 0, 0.5 and 1
+    for prior, lower, upper, rate, eer in curve[1:]:
+        assert (lower, upper, eer) in cells
+        if prior == "0.500000":
+            assert rate == cells[lower, upper, eer]
 
 
 def test_report_fields(pipeline):
@@ -363,8 +382,7 @@ def test_report_fields(pipeline):
 
 
 def test_eval_csv_has_both_systems(pipeline):
-    with open(os.path.join(pipeline, "reports/eval.csv"), newline="") as f:
-        rows = list(csv.reader(f))
+    rows = report_rows(pipeline, "eval.csv")
     assert rows[0] == ["system", "eer_percent", "threshold", "targets", "nontargets"]
     assert [r[0] for r in rows[1:]] == ["td", "ti"]
     assert rows[1][3] == "80" and rows[1][4] == "80"  # pooled over 2 languages

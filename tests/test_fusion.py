@@ -106,7 +106,12 @@ def test_sweep_csv_roundtrip(tmp_path_factory, seed):
     result = sweep_fusion_weight(scored, grid_step=0.1)
     path = tmp_path_factory.mktemp("sweep") / "fusion_sweep.csv"
     save_sweep_csv(str(path), result)
+    data = path.read_bytes()
+    assert data.startswith(("alpha,eer\r\n%.6f,%.9f\r\n" % result.table[0]).encode())
+    assert data.count(b"\r\n") == data.count(b"\n") == len(result.table) + 1
     loaded = load_sweep_csv(str(path))
+    path.write_bytes(data.replace(b"\r\n", b"\r\n\r\n"))  # a blank line after each
+    assert load_sweep_csv(str(path)).table == loaded.table
     assert loaded.alpha_star == pytest.approx(result.alpha_star, abs=1e-6)
     assert loaded.eer_at_alpha_star == pytest.approx(result.eer_at_alpha_star, abs=1e-9)
     assert len(loaded.table) == len(result.table)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,20 @@ def test_gradient_check_after_short_training(small_corpus):
     count = sum(v.size for v in params.values.values())
     batch = keyword_batch(small_corpus)
     assert gradient_check(params, batch, SOFTMAX, sample_count=count, seed=4) < 1e-4
+
+
+def test_gradient_check_memory_does_not_grow_with_coordinates():
+    """TI_SPEC has 1.27M coordinates; the check samples one of them without
+    building a record per coordinate."""
+    params = dvector.init_network(dvector.TI_SPEC, seed=0)
+    batch = np.random.default_rng(0).standard_normal((2, 2, 3, 80))
+    tracemalloc.start()
+    try:
+        gradient_check(params, batch, SOFTMAX, sample_count=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_larger_epsilon_gives_larger_error(small_corpus):

@@ -143,12 +143,17 @@ def test_trained_models_separate_speakers(scored_trials):
 def test_scores_tsv_roundtrip(tmp_path, scored_trials):
     path = tmp_path / "scores.tsv"
     save_scores(str(path), scored_trials)
-    loaded = load_scores(str(path))
-    assert loaded.speakers == scored_trials.speakers
-    assert loaded.utterances == scored_trials.utterances
-    assert loaded.labels.tolist() == scored_trials.labels.tolist()
-    assert loaded.td == pytest.approx(scored_trials.td, abs=1e-9)
-    assert loaded.ti == pytest.approx(scored_trials.ti, abs=1e-9)
+    data = path.read_bytes()
+    assert b"\r" not in data and data.count(b"\n") == len(scored_trials.td)
+    # as written, then with CRLF line ends and a blank first line
+    for content in (data, b"\r\n" + data.replace(b"\n", b"\r\n")):
+        path.write_bytes(content)
+        loaded = load_scores(str(path))
+        assert loaded.speakers == scored_trials.speakers
+        assert loaded.utterances == scored_trials.utterances
+        assert loaded.labels.tolist() == scored_trials.labels.tolist()
+        assert loaded.td == pytest.approx(scored_trials.td, abs=1e-9)
+        assert loaded.ti == pytest.approx(scored_trials.ti, abs=1e-9)
 
 
 def test_scores_tsv_na_for_missing_ti(tmp_path, small_corpus, trained_models):
@@ -162,6 +167,9 @@ def test_scores_tsv_na_for_missing_ti(tmp_path, small_corpus, trained_models):
 
 def test_load_scores_rejects_malformed(tmp_path):
     path = tmp_path / "bad.tsv"
-    path.write_text("a\tb\tmaybe\t0.5\t0.5\n")
-    with pytest.raises(ValidationError, match="bad.tsv:1"):
-        load_scores(str(path))
+    for text, where in (("a\tb\tmaybe\t0.5\t0.5\n", "bad.tsv:1: malformed score line"),
+                        ("s0\tu0\ttgt\t0.9\t0.8\n\ns0\tu1\tnon\t0.1\n",
+                         "bad.tsv:3: expected 5 fields")):
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=where):
+            load_scores(str(path))
