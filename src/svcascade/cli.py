@@ -160,15 +160,12 @@ def cmd_xeval(cfg: ExperimentConfig) -> None:
 
 
 def cmd_report(cfg: ExperimentConfig) -> None:
-    scores = _load_scores(cfg)
     sweep = fusion.load_sweep_csv(
         _require(os.path.join(cfg.report_dir, "fusion_sweep.csv"), "fuse-sweep"))
     lower, upper, eer, rate = triage.load_heatmap_csv(
         _require(os.path.join(cfg.report_dir, "heatmap.csv"), "triage-sweep"))
-
-    n_tar, td, ti = scores.fusable("report")
-    td_eer = metrics.compute_eer(td[:n_tar], td[n_tar:]).eer
-    ti_eer = metrics.compute_eer(ti[:n_tar], ti[n_tar:]).eer
+    # the sweep's alpha = 1 and alpha = 0 rows fuse TD and TI alone, exactly
+    td_eer, ti_eer = sweep.table[-1][1], sweep.table[0][1]
 
     kw = cfg.corpus_spec.keyword_frames
     total = kw + cfg.corpus_spec.query_frames

@@ -7,6 +7,7 @@ prerequisite artifacts are 2, numeric failures are 3.
 """
 
 import contextlib
+import itertools
 import os
 import zipfile
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
@@ -80,20 +81,31 @@ def write_table(path: str, rows: Iterable[Sequence[str]], header: Sequence[str] 
         f.writelines(sep.join(row) + end for row in rows)
 
 
+_TABLE_BLOCK = 2048  # lines per read_table block, so a table's fields are never all held at once
+
+
 def read_table(path: str, width: int, header: Sequence[str] | None = None,
-               sep: str = "\t") -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each non-blank line of a write_table file
-    after its `header`.  A first line other than `header`, or a line without
-    exactly `width` fields, is a ValidationError naming path:line."""
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
-        if lineno == 1 and header is not None:
-            if line != sep.join(header):
-                raise ValidationError(f"{path}:1: expected the header {sep.join(header)!r}")
-        elif line:
-            fields = line.split(sep)
-            if len(fields) != width:
-                raise ValidationError(f"{path}:{lineno}: expected {width} fields")
-            yield lineno, fields
+               sep: str = "\t") -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+    """(line numbers, columns) of each block of at most _TABLE_BLOCK non-blank lines
+    of a write_table file after its `header`; columns[k] is field k of each line.  A
+    first line other than `header`, or a line without exactly `width` fields, is a
+    ValidationError naming path:line, raised once the lines before it are yielded."""
+    lines = read_text(path).split("\n")
+    if header is not None and lines[0] != sep.join(header):
+        raise ValidationError(f"{path}:1: expected the header {sep.join(header)!r}")
+    for start in range(header is not None, len(lines), _TABLE_BLOCK):
+        block = lines[start:start + _TABLE_BLOCK]
+        numbers: Sequence[int] = range(start + 1, start + 1 + len(block))
+        if "" in block:
+            numbers, block = [n for n, line in zip(numbers, block) if line], list(filter(None, block))
+        counts = list(map(str.count, block, itertools.repeat(sep)))
+        clean = len(block) if counts.count(width - 1) == len(block) else next(
+            i for i, count in enumerate(counts) if count != width - 1)
+        if clean:
+            fields = sep.join(block[:clean]).split(sep)
+            yield numbers[:clean], [fields[k::width] for k in range(width)]
+        if clean < len(block):
+            raise ValidationError(f"{path}:{numbers[clean]}: expected {width} fields")
 
 
 def write_npz(path: str, arrays: dict[str, np.ndarray]) -> None:

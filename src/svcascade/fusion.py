@@ -29,14 +29,11 @@ class FusionSweepResult:
 
 
 def alpha_grid(grid_step: float) -> list[float]:
-    if not (0.0 < grid_step <= 0.5):
-        raise ValidationError(f"grid step must be in (0, 0.5], got {grid_step}")
-    alphas = [i * grid_step for i in range(int(np.floor(1.0 / grid_step + 1e-9)) + 1)]
-    if alphas[-1] < 1.0:
-        alphas.append(1.0)
-    else:
-        alphas[-1] = 1.0
-    return alphas
+    """0, grid_step, ... while below 1 at save_sweep_csv's 6 decimals, then 1."""
+    if not (1e-5 <= grid_step <= 0.5):
+        raise ValidationError(f"grid step must be in [1e-05, 0.5], got {grid_step}")
+    count = int(np.floor(1.0 / grid_step + 1e-9)) + 1
+    return [i * grid_step for i in range(count) if i * grid_step < 1.0 - 5e-7] + [1.0]
 
 
 def sweep_fusion_weight(scores: ScoreTable, grid_step: float = 0.01) -> FusionSweepResult:
@@ -57,8 +54,10 @@ def save_sweep_csv(path: str, result: FusionSweepResult) -> None:
 
 
 def load_sweep_csv(path: str) -> FusionSweepResult:
+    """A save_sweep_csv file, whose alphas rise strictly from 0 to 1."""
     table = []
-    for lineno, row in errors.read_table(path, 2, header=("alpha", "eer"), sep=","):
+    for lineno, *row in (r for numbers, columns in errors.read_table(
+            path, 2, header=("alpha", "eer"), sep=",") for r in zip(numbers, *columns)):
         try:
             alpha, eer = (float(v) for v in row)
         except ValueError:
@@ -67,8 +66,12 @@ def load_sweep_csv(path: str) -> FusionSweepResult:
         if not (0.0 <= alpha <= 1.0 and 0.0 <= eer <= 1.0):
             raise ValidationError(
                 f"{path}:{lineno}: alpha and eer must be in [0, 1], got {alpha}, {eer}")
+        if alpha <= table[-1][0] if table else alpha != 0.0:
+            raise ValidationError(f"{path}:{lineno}: alphas must rise strictly from 0, got {alpha}")
         table.append((alpha, eer))
     if not table:
         raise ValidationError(f"{path}: empty fusion sweep")
+    if table[-1][0] != 1.0:
+        raise ValidationError(f"{path}:{lineno}: the last alpha must be 1, got {table[-1][0]}")
     best_alpha, best_eer = min(table, key=lambda ae: (ae[1], ae[0]))
     return FusionSweepResult(alpha_star=best_alpha, eer_at_alpha_star=best_eer, table=table)

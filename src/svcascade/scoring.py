@@ -8,7 +8,6 @@ rather than a silent fallback.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,28 +120,42 @@ def save_scores(path: str, scores: ScoreTable) -> None:
         ["%.9f" % s for s in scores.td.tolist()], ti))
 
 
+def _score_columns(labels: list[str], td: list[str], ti: list[str], has_ti: bool) -> tuple:
+    """Target flags, td and ti (or None) of some lines' columns, checked as one line is."""
+    if labels.count("tgt") + labels.count("non") < len(labels):
+        raise ValidationError("malformed score line")
+    try:
+        td_col = np.fromiter(map(float, td), np.float64)
+        ti_col = None if ti.count("NA") == len(ti) else np.fromiter(map(float, ti), np.float64)
+    except ValueError:
+        raise ValidationError("non-numeric score") from None
+    if (ti_col is not None) != has_ti:
+        raise ValidationError("TI score must be NA on every line or on none")
+    if not (np.isfinite(td_col).all() and (ti_col is None or np.isfinite(ti_col).all())):
+        raise ValidationError("non-finite score")
+    # every label is "tgt" or "non", so every third character is its first
+    return np.frombuffer("".join(labels)[::3].encode(), "S1") == b"t", td_col, ti_col
+
+
 def load_scores(path: str) -> ScoreTable:
     """Reads save_scores' TSV; scores must be finite, and the TI column
-    must be NA on every line or on none."""
-    speakers, utterances, labels, td, ti = [], [], [], [], []
-    for lineno, parts in errors.read_table(path, 5):
-        if parts[2] not in ("tgt", "non"):
-            raise ValidationError(f"{path}:{lineno}: malformed score line")
+    must be NA on every line or on none, as it is on the first."""
+    speakers, utterances, has_ti = [], [], None
+    labels, td, ti = [np.zeros(0, bool)], [np.zeros(0)], [np.zeros(0)]
+    for numbers, (spk, utt, *scored) in errors.read_table(path, 5):
+        has_ti = scored[2][0] != "NA" if has_ti is None else has_ti
         try:
-            td.append(float(parts[3]))
-            if parts[4] != "NA":
-                ti.append(float(parts[4]))
-        except ValueError:
-            raise ValidationError(f"{path}:{lineno}: non-numeric score") from None
-        if len(ti) not in (0, len(td)):
-            raise ValidationError(
-                f"{path}:{lineno}: TI score must be NA on every line or on none")
-        if not (math.isfinite(td[-1]) and (not ti or math.isfinite(ti[-1]))):
-            raise ValidationError(f"{path}:{lineno}: non-finite score")
-        speakers.append(parts[0])
-        utterances.append(parts[1])
-        labels.append(parts[2] == "tgt")
-    return ScoreTable(speakers=speakers, utterances=utterances,
-                      labels=np.array(labels, dtype=bool),
-                      td=np.array(td, dtype=np.float64),
-                      ti=np.array(ti, dtype=np.float64) if ti else None)
+            block = _score_columns(*scored, has_ti)
+        except ValidationError:  # the first bad line, checked on its own, names the error
+            for i, lineno in enumerate(numbers):
+                try:
+                    _score_columns(*(column[i:i + 1] for column in scored), has_ti)
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            raise
+        speakers += spk
+        utterances += utt
+        for column, part in zip((labels, td, ti), block):
+            column.append(part)
+    return ScoreTable(speakers=speakers, utterances=utterances, labels=np.concatenate(labels),
+                      td=np.concatenate(td), ti=np.concatenate(ti) if has_ti else None)

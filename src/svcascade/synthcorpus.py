@@ -281,10 +281,11 @@ def save_trials(trials: list[Trial], path: str) -> None:
 
 def load_trials(path: str, corpus: Corpus) -> list[Trial]:
     trials = []
-    for lineno, parts in errors.read_table(path, 4):
-        if parts[3] not in ("tgt", "non"):
+    for lineno, speaker, enroll_ids, test_id, label in (
+            row for numbers, columns in errors.read_table(path, 4) for row in zip(numbers, *columns)):
+        if label not in ("tgt", "non"):
             raise ValidationError(f"{path}:{lineno}: malformed trial line")
-        trial = Trial(parts[0], tuple(parts[1].split(",")), parts[2], parts[3] == "tgt")
+        trial = Trial(speaker, tuple(enroll_ids.split(",")), test_id, label == "tgt")
         try:
             enroll = [corpus.get(uid) for uid in trial.enroll_utterance_ids]
             test = corpus.get(trial.test_utterance_id)
@@ -292,13 +293,13 @@ def load_trials(path: str, corpus: Corpus) -> list[Trial]:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
         if any(u.speaker_id != trial.enroll_speaker_id for u in enroll):
             raise ValidationError(
-                f"{path}:{lineno}: enrollment utterances must be from speaker {parts[0]}")
+                f"{path}:{lineno}: enrollment utterances must be from speaker {speaker}")
         if len(set(trial.enroll_utterance_ids)) != len(trial.enroll_utterance_ids):
             raise ValidationError(f"{path}:{lineno}: enrollment set names an utterance twice")
         if trial.test_utterance_id in trial.enroll_utterance_ids:
             raise ValidationError(f"{path}:{lineno}: test utterance is in its own enrollment set")
         if (test.speaker_id == trial.enroll_speaker_id) != trial.is_target:
             raise ValidationError(
-                f"{path}:{lineno}: label {parts[3]} disagrees with test speaker {test.speaker_id}")
+                f"{path}:{lineno}: label {label} disagrees with test speaker {test.speaker_id}")
         trials.append(trial)
     return trials

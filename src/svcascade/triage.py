@@ -319,8 +319,9 @@ def load_heatmap_csv(path: str) -> tuple[float, float, float, float]:
     lowest EER, then lowest trigger rate (prior 0.5, as the heat map stores
     it), then lowest band."""
     best = None
-    for lineno, row in errors.read_table(path, 4, header=("lower", "upper", "eer", "trigger_rate"),
-                                         sep=","):
+    for lineno, *row in (r for numbers, columns in errors.read_table(
+            path, 4, header=("lower", "upper", "eer", "trigger_rate"), sep=",")
+            for r in zip(numbers, *columns)):
         try:
             lower, upper, eer, rate = (float(v) for v in row)
         except ValueError:

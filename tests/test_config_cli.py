@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from svcascade import cli, ge2e, synthcorpus
+from svcascade import cli, fusion, ge2e, scoring, synthcorpus
 from svcascade.config import parse_config
 from svcascade.errors import CapacityError, ValidationError
+from svcascade.metrics import compute_eer
 from svcascade.triage import TriagePolicy
 
 
@@ -127,6 +128,8 @@ def test_cost_durations_must_be_positive(tmp_path):
     pytest.param("triage.band_min", "nan", None, "triage.band_min", id="band-nan"),
     pytest.param("triage.lower", "-2", None, "triage.lower", id="band-below-minus-one"),
     pytest.param("triage.band_min", "-1.5", None, "triage.band_*", id="band-grid-below-minus-one"),
+    pytest.param("fusion.grid_step", "1e-6", None, "fusion.grid_step",
+                 id="alpha-grid-finer-than-the-sweep-file"),
     pytest.param("train.td.language_weights", "9:1", None, "train.td.language_weights",
                  id="weight-language-range"),
     pytest.param("train.td.language_weights", "0:nan,1:1", None,
@@ -181,7 +184,7 @@ def test_dependency_errors_in_order(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path))
     for command, missing in (("train", "gen-data"), ("score", "gen-data"),
                              ("fuse-sweep", "score"), ("triage-apply", "score"),
-                             ("report", "score")):
+                             ("report", "fuse-sweep")):
         assert cli.run(command, str(cfg_path)) == 2
         assert missing in capsys.readouterr().err
     # xeval scores train's pooled checkpoints; their absence is found before any training
@@ -246,6 +249,13 @@ def _add_member(path):
                  "triage-sweep", "fusion_sweep.csv:2", id="sweep-non-numeric"),
     pytest.param("reports/fusion_sweep.csv", "alpha,eer\n0.0,0.1\n1.5,-0.2\n",
                  "report", "fusion_sweep.csv:3", id="sweep-alpha-out-of-range"),
+    pytest.param("reports/fusion_sweep.csv", "alpha,eer\n0.500000,0.1\n1.000000,0.2\n",
+                 "report", "fusion_sweep.csv:2", id="sweep-no-alpha-0"),
+    pytest.param("reports/fusion_sweep.csv", "alpha,eer\n0.000000,0.1\n0.500000,0.2\n",
+                 "report", "fusion_sweep.csv:3", id="sweep-no-alpha-1"),
+    pytest.param("reports/fusion_sweep.csv",
+                 "alpha,eer\n0.000000,0.1\n0.600000,0.2\n0.500000,0.2\n1.000000,0.3\n",
+                 "triage-sweep", "fusion_sweep.csv:4", id="sweep-alpha-falls"),
     pytest.param("reports/fusion_sweep.csv", "alpha,eer\nnan,0.0\n",
                  "triage-sweep", "fusion_sweep.csv:2", id="sweep-nan"),
     pytest.param("reports/fusion_sweep.csv", "alpha,err\n0.0,0.1\n",
@@ -379,6 +389,31 @@ def test_report_fields(pipeline):
     assert float(fields["expected_latency_seconds"]) == pytest.approx(
         0.7 + rate * 3.0, abs=1e-6)
     assert float(fields["eer"]) <= float(fields["eer_td"]) + 1e-9
+
+
+@pytest.mark.parametrize("tie_heavy", [False, True])
+def test_report_eers_are_the_single_system_eers(pipeline, tmp_path, tie_heavy):
+    """report reads eer_td and eer_ti from the sweep's alpha = 1 and alpha = 0
+    rows; they are compute_eer of the TD and TI columns to the bit."""
+    workdir, cfg_path = pipeline, os.path.join(pipeline, "exp.cfg")
+    if tie_heavy:  # scores on a 0.1 grid, signed zeros included
+        workdir, cfg_path = str(tmp_path), str(write_config(tmp_path / "exp.cfg", str(tmp_path)))
+        rng = np.random.default_rng(5)
+        labels = rng.random(300) < 0.4
+        td, ti = (np.clip(np.round(rng.standard_normal(300) * 0.3 + 0.2 * labels, 1), -0.9, 0.9)
+                  for _ in range(2))
+        scoring.save_scores(os.path.join(workdir, "scores/scores.tsv"), scoring.ScoreTable(
+            ["s0"] * 300, [f"u{i}" for i in range(300)], labels, td, ti))
+        for command in ("fuse-sweep", "triage-sweep", "report"):
+            assert cli.run(command, cfg_path) == 0
+    scores = scoring.load_scores(os.path.join(workdir, "scores/scores.tsv"))
+    sweep = fusion.sweep_fusion_weight(scores, parse_config(cfg_path).fusion_grid_step)
+    with open(os.path.join(workdir, "reports/report.txt")) as f:
+        fields = dict(line.split("=") for line in f.read().split())
+    for key, column, row in (("eer_td", scores.td, -1), ("eer_ti", scores.ti, 0)):
+        eer = compute_eer(column[scores.labels], column[~scores.labels]).eer
+        assert sweep.table[row][1] == eer
+        assert fields[key] == "%.9f" % eer
 
 
 def test_eval_csv_has_both_systems(pipeline):

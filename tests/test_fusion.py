@@ -12,12 +12,30 @@ from conftest import interleaved_scores, make_scores
 
 
 def test_alpha_grid_includes_endpoints():
-    for step in (0.01, 0.02, 0.03, 0.07, 0.5):
+    # 49 steps of 1/49 end at 0.9999999999999999, which must not precede 1
+    for step in (0.01, 0.02, 0.03, 0.07, 0.5, 1 / 49, 1e-5):
         grid = alpha_grid(step)
         assert grid[0] == 0.0 and grid[-1] == 1.0
-        assert all(b > a for a, b in zip(grid, grid[1:]))
-    with pytest.raises(ValidationError):
-        alpha_grid(0.0)
+        written = ["%.6f" % alpha for alpha in grid]  # as save_sweep_csv writes them
+        assert all(b > a for a, b in zip(written, written[1:]))
+    for step in (0.0, 9e-6, 0.6):
+        with pytest.raises(ValidationError):
+            alpha_grid(step)
+
+
+@pytest.mark.parametrize("rows, line", [
+    pytest.param("0.500000,0.1\n1.000000,0.2\n", 2, id="no-alpha-0"),
+    pytest.param("0.000000,0.1\n0.500000,0.2\n", 3, id="no-alpha-1"),
+    pytest.param("0.000000,0.1\n0.500000,0.2\n0.500000,0.2\n1.000000,0.3\n", 4,
+                 id="repeated-alpha"),
+    pytest.param("0.000000,0.1\n0.600000,0.2\n0.500000,0.2\n1.000000,0.3\n", 4,
+                 id="falling-alpha"),
+])
+def test_load_sweep_csv_needs_alphas_rising_from_0_to_1(tmp_path, rows, line):
+    path = tmp_path / "fusion_sweep.csv"
+    path.write_text("alpha,eer\n" + rows)
+    with pytest.raises(ValidationError, match=f"fusion_sweep.csv:{line}: "):
+        load_sweep_csv(str(path))
 
 
 def test_identical_scores_pick_smallest_alpha():

@@ -183,6 +183,17 @@ def test_offset_gradient_matches_finite_difference(small_corpus):
     assert float(grads["ge2e/offset"]) == pytest.approx(numeric, abs=1e-6)
 
 
+def test_offset_moves_only_under_the_contrast_loss(small_corpus):
+    """Softmax is shift-invariant, so its offset gradient is zero up to
+    rounding and a softmax run leaves ge2e/offset at its initial -5 exactly;
+    a contrast run moves it."""
+    for kind, moves in ((SOFTMAX, False), (CONTRAST, True)):
+        cfg = TrainConfig(batch_n=3, batch_m=2, steps=10, loss_kind=kind,
+                          language_weights={0: 1.0}, seed=4)
+        params, _ = train(small_corpus, dvector.TD_SMALL, cfg, SEGMENT_KEYWORD)
+        assert (float(params["ge2e/offset"]) != -5.0) == moves, kind
+
+
 def test_train_single_language_samples_only_that_language(small_corpus):
     cfg = TrainConfig(batch_n=3, batch_m=2, steps=20, language_weights={2: 1.0}, seed=1)
     _, trace = train(small_corpus, dvector.TD_SMALL, cfg, SEGMENT_KEYWORD)

@@ -1,9 +1,12 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from svcascade import dvector, ge2e, scoring
+from svcascade import dvector, errors, ge2e, scoring
 from svcascade.errors import ValidationError
 from svcascade.metrics import compute_eer
 from svcascade.scoring import (
@@ -173,3 +176,90 @@ def test_load_scores_rejects_malformed(tmp_path):
         path.write_text(text)
         with pytest.raises(ValidationError, match=where):
             load_scores(str(path))
+
+
+def _per_line_load_scores(path):
+    """load_scores as it was before it parsed blocks of columns: one line at
+    a time, each field checked and converted on its own.  The oracle below."""
+    speakers, utterances, labels, td, ti = [], [], [], [], []
+    for lineno, line in enumerate(errors.read_text(path).split("\n"), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise ValidationError(f"{path}:{lineno}: expected 5 fields")
+        if parts[2] not in ("tgt", "non"):
+            raise ValidationError(f"{path}:{lineno}: malformed score line")
+        try:
+            td.append(float(parts[3]))
+            if parts[4] != "NA":
+                ti.append(float(parts[4]))
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: non-numeric score") from None
+        if len(ti) not in (0, len(td)):
+            raise ValidationError(
+                f"{path}:{lineno}: TI score must be NA on every line or on none")
+        if not (math.isfinite(td[-1]) and (not ti or math.isfinite(ti[-1]))):
+            raise ValidationError(f"{path}:{lineno}: non-finite score")
+        speakers.append(parts[0])
+        utterances.append(parts[1])
+        labels.append(parts[2] == "tgt")
+    return scoring.ScoreTable(speakers=speakers, utterances=utterances,
+                              labels=np.array(labels, dtype=bool),
+                              td=np.array(td, dtype=np.float64),
+                              ti=np.array(ti, dtype=np.float64) if ti else None)
+
+
+_SCORE = st.floats(-1.0, 1.0).map("%.9f".__mod__)
+_BAD_SCORE = st.sampled_from(["nan", "-inf", "1e999", "x", "", " 0.5 ", "1_0", "NA", "0.1"])
+
+
+@st.composite
+def _score_files(draw):
+    """A scores.tsv, mostly well formed: each field and line width goes wrong
+    now and then, so that errors land anywhere in the file; LF or CRLF ends."""
+    def field(good, bad):
+        return draw(bad if draw(st.integers(0, 12)) == 0 else good)
+
+    ti_na = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+        row = [draw(st.sampled_from(["s0", "s1"])), draw(st.sampled_from(["u0", "u1", "u2"])),
+               field(st.sampled_from(["tgt", "non"]), st.sampled_from(["maybe", "", "Tgt"])),
+               field(_SCORE, _BAD_SCORE), field(st.just("NA") if ti_na else _SCORE, _BAD_SCORE)]
+        if draw(st.integers(0, 30)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["0.5"]
+        lines.append("\t".join(row))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    return text.replace("\n", "\r\n") if draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_score_files(), st.integers(1, 3))
+@example("s0\tu0\ttgt\t0.5\tNA\ns0\tu1\tnon\t0.1\tnan\n", 1)  # mixed NA before non-finite
+@example("s0\tu0\ttgt\t0.5\t0.2\ns0\tu1\tnon\tinf\tNA\n", 2)
+def test_load_scores_matches_per_line_reference(tmp_path_factory, text, block):
+    """Blocks of 1-3 lines put an error in any block, not only the first."""
+    path = str(tmp_path_factory.mktemp("scores") / "scores.tsv")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
+    with mock.patch.object(errors, "_TABLE_BLOCK", block):
+        results = []
+        for load in (_per_line_load_scores, load_scores):
+            try:
+                results.append(load(path))
+            except ValidationError as exc:
+                results.append(str(exc))
+    expected, got = results
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert not isinstance(got, str), got
+    assert (got.speakers, got.utterances) == (expected.speakers, expected.utterances)
+    for name in ("labels", "td", "ti"):
+        want, have = getattr(expected, name), getattr(got, name)
+        assert (have is None) == (want is None), name
+        if want is not None:
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), name
