@@ -6,12 +6,12 @@ back down to the recurrent dimension.  The embedding is the final linear
 transform of the last frame's top-layer projection output, L2-normalized.
 
 Parameters live in an ordered dict of float64 arrays with canonical names
-(layer{l}/w, layer{l}/b, layer{l}/proj, out/weight, out/bias, ge2e/scale,
-ge2e/offset); initialization draws follow that order, so (spec, seed)
-fully determines a checkpoint.  Gates are stored fused: `w` is (4c, in + p)
-and `b` is (4c), rows in i, f, o, c (candidate) order.  Input-to-gate
-products and the weight gradients each run as one GEMM over all T*B rows,
-outside the time loop.
+(layer{l}/w, layer{l}/b, layer{l}/proj, out/weight, out/bias, ge2e/scale);
+initialization draws follow that order, so (spec, seed) fully determines a
+checkpoint.  Gates are stored fused: `w` is (4c, in + p) and `b` is (4c),
+rows in i, f, o, c (candidate) order.  Input-to-gate products and the
+weight gradients each run as one GEMM over all T*B rows, outside the time
+loop.
 """
 
 from __future__ import annotations
@@ -85,15 +85,12 @@ def param_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
     shapes["out/weight"] = (spec.output_dim, p)
     shapes["out/bias"] = (spec.output_dim,)
     shapes["ge2e/scale"] = ()
-    shapes["ge2e/offset"] = ()
     return shapes
 
 
 def init_network(spec: NetworkSpec, seed: int) -> Parameters:
     """Glorot-uniform weights (per gate for `w`), zero biases except forget
-    gate (1.0), similarity scale 10 and offset -5; weights are float32 values.
-    `ge2e/offset` moves only under the contrast loss, because softmax is
-    shift-invariant."""
+    gate (1.0) and similarity scale 10; weights are float32 values."""
     rng = np.random.default_rng(seed)
     c = spec.cells
     values: dict[str, np.ndarray] = {}
@@ -104,8 +101,6 @@ def init_network(spec: NetworkSpec, seed: int) -> Parameters:
             values[name] = rng.uniform(-s, s, size=shape).astype(np.float32).astype(np.float64)
         elif name == "ge2e/scale":
             values[name] = np.array(10.0)
-        elif name == "ge2e/offset":
-            values[name] = np.array(-5.0)
         else:
             values[name] = np.zeros(shape)
             if name.endswith("/b"):
@@ -119,11 +114,6 @@ def zeros_like(params: Parameters) -> Parameters:
 
 def global_norm(params: Parameters) -> float:
     return float(np.sqrt(sum(float(np.sum(v * v)) for v in params.values.values())))
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Branch-free, overflow-free logistic 0.5 * (1 + tanh(z / 2))."""
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def _lstmp_layer(params: Parameters, layer: int, x: np.ndarray, B: int,
@@ -261,7 +251,7 @@ def backward_batch(params: Parameters, cache: dict, d_emb: np.ndarray) -> Parame
 
 
 def param_count(spec: NetworkSpec) -> int:
-    """The network's weights and biases, without the two GE2E scalars."""
+    """The network's weights and biases, without the GE2E scale."""
     return sum(math.prod(shape) for name, shape in param_shapes(spec).items()
                if not name.startswith("ge2e/"))
 

@@ -1,11 +1,11 @@
-"""Generalized end-to-end training: batch similarity matrix against speaker
-centroids (leave-one-out for the positive term), softmax and contrast losses,
-exact reverse-mode gradients through the network, and a weighted-language
-batch sampler for multilingual training.
+"""Generalized end-to-end training: batch similarity matrix S = w * cos
+against speaker centroids (leave-one-out for the positive term), the
+softmax GE2E loss, exact reverse-mode gradients through the network, and a
+weighted-language batch sampler for multilingual training.
 
-Losses are summed over the N*M utterances of a batch.  The similarity scale
-is kept strictly positive by projecting it to a small floor after each
-update.
+The loss is summed over the N*M utterances of a batch.  Softmax is
+shift-invariant, so S carries no offset.  The similarity scale w is kept
+strictly positive by projecting it to a small floor after each update.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ import numpy as np
 from . import dvector, errors
 from .errors import CapacityError, NumericError, ValidationError
 from .synthcorpus import Corpus
-
-SOFTMAX = "softmax"
-CONTRAST = "contrast"
-LOSS_KINDS = (SOFTMAX, CONTRAST)
 
 SEGMENT_KEYWORD = "keyword"
 SEGMENT_KEYWORD_QUERY = "keyword+query"
@@ -36,7 +32,6 @@ class TrainConfig:
     steps: int = 200
     learning_rate: float = 0.01
     clip_norm: float = 3.0
-    loss_kind: str = SOFTMAX
     language_weights: dict[int, float] = field(default_factory=dict)
     seed: int = 0
 
@@ -51,8 +46,6 @@ class TrainConfig:
             raise ValidationError("learning_rate must be positive")
         if not self.clip_norm > 0:
             raise ValidationError("clip_norm must be positive")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValidationError(f"loss_kind must be one of {LOSS_KINDS}")
         if not self.language_weights:
             raise ValidationError("language_weights must not be empty")
         if any(w < 0 for w in self.language_weights.values()):
@@ -86,10 +79,10 @@ def _centroids(embeddings: np.ndarray):
     return mu / mu_norm, mu_norm, mu_loo / loo_norm, loo_norm
 
 
-def _loss_and_embedding_grads(embeddings: np.ndarray, w: float, b: float, kind: str):
+def _loss_and_embedding_grads(embeddings: np.ndarray, w: float):
     """The GE2E loss of a (N, M, d) batch of unit embeddings, plus its exact
-    gradients w.r.t. the embeddings (centroid paths included) and the (w, b)
-    scalars.  Training, `batch_loss` and the gradient check all use it."""
+    gradients w.r.t. the embeddings (centroid paths included) and the scale
+    w.  Training, `batch_loss` and the gradient check all use it."""
     E = np.asarray(embeddings, dtype=np.float64)
     _check_batch_shape(E.shape)
     n, m, d = E.shape
@@ -97,32 +90,14 @@ def _loss_and_embedding_grads(embeddings: np.ndarray, w: float, b: float, kind: 
     cos = np.einsum("jmd,kd->jmk", E, chat)
     diag = np.arange(n)
     cos[diag, :, diag] = np.sum(E * chat_loo, axis=2)
-    S = w * cos + b
-
-    if kind == SOFTMAX:
-        mx = S.max(axis=2)
-        ex = np.exp(S - mx[:, :, None])
-        soft = ex / ex.sum(axis=2, keepdims=True)
-        loss = float(np.sum(mx + np.log(ex.sum(axis=2)) - S[diag, :, diag]))
-        dS = soft.copy()
-        dS[diag, :, diag] -= 1.0
-    elif kind == CONTRAST:
-        sig = dvector._sigmoid(S)
-        pos_sig = sig[diag, :, diag]
-        masked = sig.copy()
-        masked[diag, :, diag] = -np.inf
-        kstar = masked.argmax(axis=2)  # (N, M), first max on ties
-        max_sig = np.take_along_axis(sig, kstar[:, :, None], axis=2)[:, :, 0]
-        loss = float(np.sum(1.0 - pos_sig + max_sig))
-        dS = np.zeros_like(S)
-        dS[diag, :, diag] = -pos_sig * (1.0 - pos_sig)
-        j_idx, i_idx = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
-        dS[j_idx, i_idx, kstar] += max_sig * (1.0 - max_sig)
-    else:
-        raise ValidationError(f"unknown loss kind {kind!r}")
+    S = w * cos
+    mx = S.max(axis=2)
+    ex = np.exp(S - mx[:, :, None])
+    loss = float(np.sum(mx + np.log(ex.sum(axis=2)) - S[diag, :, diag]))
+    dS = ex / ex.sum(axis=2, keepdims=True)
+    dS[diag, :, diag] -= 1.0
 
     dw = float(np.sum(dS * cos))
-    db = float(np.sum(dS))
     dcos = w * dS
 
     dcos_diag = dcos[diag, :, diag]  # (N, M)
@@ -144,23 +119,22 @@ def _loss_and_embedding_grads(embeddings: np.ndarray, w: float, b: float, kind: 
     totals = dmu_loo.sum(axis=1, keepdims=True)
     dE += (totals - dmu_loo) / (m - 1)
 
-    return loss, dE, dw, db
+    return loss, dE, dw
 
 
-def batch_loss(params: dvector.Parameters, batch_frames: np.ndarray, kind: str) -> float:
+def batch_loss(params: dvector.Parameters, batch_frames: np.ndarray) -> float:
     """GE2E loss for a (N, M, T, D) batch of feature sequences, without the
     network's backward pass."""
     n, m = batch_frames.shape[0], batch_frames.shape[1]
     flat = batch_frames.reshape(n * m, batch_frames.shape[2], batch_frames.shape[3])
     emb, _ = dvector.forward_batch(params, flat)
-    return _loss_and_embedding_grads(emb.reshape(n, m, -1), float(params["ge2e/scale"]),
-                                     float(params["ge2e/offset"]), kind)[0]
+    return _loss_and_embedding_grads(emb.reshape(n, m, -1), float(params["ge2e/scale"]))[0]
 
 
-def backward(params: dvector.Parameters, batch_frames: np.ndarray,
-             kind: str) -> tuple[float, dvector.Parameters]:
-    """Loss and exact gradients w.r.t. every parameter (including the GE2E
-    scale and offset) for one batch."""
+def backward(params: dvector.Parameters,
+             batch_frames: np.ndarray) -> tuple[float, dvector.Parameters]:
+    """Loss and exact gradients w.r.t. every parameter, the GE2E scale
+    included, for one batch."""
     batch_frames = np.asarray(batch_frames, dtype=np.float64)
     if batch_frames.ndim != 4:
         raise ValidationError(f"batch must be (N, M, T, D), got shape {batch_frames.shape}")
@@ -168,18 +142,15 @@ def backward(params: dvector.Parameters, batch_frames: np.ndarray,
     n, m, t, d = batch_frames.shape
     emb, cache = dvector.forward_batch(params, batch_frames.reshape(n * m, t, d),
                                        want_cache=True)
-    E = emb.reshape(n, m, -1)
-    loss, dE, dw, db = _loss_and_embedding_grads(
-        E, float(params["ge2e/scale"]), float(params["ge2e/offset"]), kind)
+    loss, dE, dw = _loss_and_embedding_grads(emb.reshape(n, m, -1), float(params["ge2e/scale"]))
     if not np.isfinite(loss):
         raise NumericError("non-finite GE2E loss")
     grads = dvector.backward_batch(params, cache, dE.reshape(n * m, -1))
     grads["ge2e/scale"] = np.array(dw)
-    grads["ge2e/offset"] = np.array(db)
     return loss, grads
 
 
-def gradient_check(params: dvector.Parameters, batch_frames: np.ndarray, kind: str,
+def gradient_check(params: dvector.Parameters, batch_frames: np.ndarray,
                    epsilon: float = 1e-4, sample_count: int = 200, seed: int = 0) -> float:
     """Max relative error between analytic gradients and central finite
     differences on randomly sampled parameter coordinates."""
@@ -187,7 +158,7 @@ def gradient_check(params: dvector.Parameters, batch_frames: np.ndarray, kind: s
         raise ValidationError(f"epsilon must be in (0, 1e-2], got {epsilon}")
     if sample_count < 1:
         raise ValidationError("sample_count must be >= 1")
-    _, grads = backward(params, batch_frames, kind)
+    _, grads = backward(params, batch_frames)
     names = list(params.values)  # flat index k lies in names[i] for the first i with ends[i] > k
     ends = np.cumsum([params[name].size for name in names])
     rng = np.random.default_rng(seed)
@@ -197,12 +168,12 @@ def gradient_check(params: dvector.Parameters, batch_frames: np.ndarray, kind: s
     for k in picks.tolist():
         i = int(np.searchsorted(ends, k, side="right"))
         name, local = names[i], k - int(ends[i]) + params[names[i]].size
-        arr = work[name].reshape(-1)  # a view, for the 0-d scale and offset too
+        arr = work[name].reshape(-1)  # a view, for the 0-d scale too
         orig = arr[local]
         arr[local] = orig + epsilon
-        lp = batch_loss(work, batch_frames, kind)
+        lp = batch_loss(work, batch_frames)
         arr[local] = orig - epsilon
-        lm = batch_loss(work, batch_frames, kind)
+        lm = batch_loss(work, batch_frames)
         arr[local] = orig
         numeric = (lp - lm) / (2.0 * epsilon)
         analytic = float(grads[name].reshape(-1)[local])
@@ -268,7 +239,7 @@ def train(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
             batch += [utts[int(ui)] for ui in utt_idx]
         frames = segment_frames(batch, segment)
         frames = frames.reshape(cfg.batch_n, cfg.batch_m, *frames.shape[1:])
-        loss, grads = backward(params, frames, cfg.loss_kind)
+        loss, grads = backward(params, frames)
         norm = dvector.global_norm(grads)
         scale = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
         for name in params.values:

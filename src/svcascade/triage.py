@@ -132,15 +132,23 @@ class BandCell:
         return self.rate_at(0.5)
 
 
+BAND_GRID_MAX_VALUES = 1001  # about 500k sweep_bands cells; capped before allocating
+
+
 def band_grid(grid_min: float, grid_max: float, step: float) -> np.ndarray:
     if step <= 0:
         raise ValidationError(f"band grid step must be positive, got {step}")
     if not -1.0 <= grid_min < grid_max <= 1.0:
         raise ValidationError(f"band grid needs -1 <= min < max <= 1, got [{grid_min}, {grid_max}]")
-    count = int(np.floor((grid_max - grid_min) / step + 1e-9)) + 1
-    values = grid_min + step * np.arange(count)
+    count = min(np.floor((grid_max - grid_min) / step + 1e-9), BAND_GRID_MAX_VALUES)
+    values = grid_min + step * np.arange(int(count) + 1)
     if values[-1] < grid_max - 1e-12:
         values = np.append(values, grid_max)
+    if values.size > BAND_GRID_MAX_VALUES:
+        raise ValidationError(
+            f"band grid step {step} over [{grid_min}, {grid_max}] gives more than "
+            f"{BAND_GRID_MAX_VALUES} values; use a step of at least "
+            f"{(grid_max - grid_min) / (BAND_GRID_MAX_VALUES - 1):g}")
     return values
 
 

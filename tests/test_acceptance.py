@@ -55,7 +55,7 @@ def test_criterion_3_gradient_correctness(small_corpus):
                               ("ti-small", dvector.TI_SMALL, both)):
         params = dvector.init_network(spec, seed=100)
         errors[name] = ge2e.gradient_check(
-            params, batch, ge2e.SOFTMAX, epsilon=1e-4, sample_count=200, seed=101)
+            params, batch, epsilon=1e-4, sample_count=200, seed=101)
     elapsed = time.time() - start
     report(f"gradient check (max rel err td={errors['td-small']:.2e}, "
            f"ti={errors['ti-small']:.2e}, {elapsed:.1f}s)",

@@ -91,10 +91,12 @@ def test_band_order_validated(tmp_path):
 
 
 def test_unknown_key_reports_line_number(tmp_path):
+    """A made-up key, and a retired one: GE2E has one loss, so no key picks it."""
     path = tmp_path / "c.cfg"
-    path.write_text("corpus.languages = 2\ncorpus.bogus = 1\n")
-    with pytest.raises(ValidationError, match=r"c.cfg:2.*bogus"):
-        parse_config(str(path))
+    for line, key in (("corpus.bogus = 1", "bogus"), ("train.td.loss_kind = softmax", "loss_kind")):
+        path.write_text(f"corpus.languages = 2\n{line}\n")
+        with pytest.raises(ValidationError, match=rf"c.cfg:2: unknown key .*{key}"):
+            parse_config(str(path))
 
 
 def test_duplicate_key_reports_line_number(tmp_path):
@@ -128,6 +130,7 @@ def test_cost_durations_must_be_positive(tmp_path):
     pytest.param("triage.band_min", "nan", None, "triage.band_min", id="band-nan"),
     pytest.param("triage.lower", "-2", None, "triage.lower", id="band-below-minus-one"),
     pytest.param("triage.band_min", "-1.5", None, "triage.band_*", id="band-grid-below-minus-one"),
+    pytest.param("triage.band_step", "1e-300", None, "triage.band_*", id="band-step-too-fine"),
     pytest.param("fusion.grid_step", "1e-6", None, "fusion.grid_step",
                  id="alpha-grid-finer-than-the-sweep-file"),
     pytest.param("train.td.language_weights", "9:1", None, "train.td.language_weights",

@@ -27,8 +27,8 @@ def test_param_count_minimal_case():
 def test_param_count_matches_actual_shapes():
     for spec in (TD_SMALL, TI_SMALL, TD_SPEC):
         total = sum(int(np.prod(s)) if s else 1 for s in param_shapes(spec).values())
-        # ge2e scale/offset are training scalars, not network parameters
-        assert total - 2 == param_count(spec)
+        # the ge2e scale is a training scalar, not a network parameter
+        assert total - 1 == param_count(spec)
 
 
 def test_flops_single_frame_td():
@@ -72,7 +72,6 @@ def test_init_forget_bias_and_bounds():
         for gate in range(4):
             assert np.max(np.abs(w[gate * c:(gate + 1) * c])) <= bound
     assert float(params["ge2e/scale"]) == 10.0
-    assert float(params["ge2e/offset"]) == -5.0
 
 
 def test_init_weights_are_float32_values():
@@ -238,9 +237,9 @@ def _rewrite(**members):
 
 
 def _flip_last_value_byte(path):
-    """Changes the stored bytes of the last member, not its recorded CRC."""
+    """Changes the stored bytes of the last member, ge2e/scale, not its recorded CRC."""
     data = bytearray(path.read_bytes())
-    data[data.rindex(np.array(-5.0).tobytes())] ^= 1
+    data[data.rindex(np.array(10.0).tobytes())] ^= 1
     path.write_bytes(bytes(data))
 
 
@@ -258,6 +257,8 @@ def _bias_as_raw_bytes(path):
                  id="member-missing"),
     pytest.param(_rewrite(**{"layer9/w": np.zeros(1)}), r"unknown members \['layer9/w'\]$",
                  id="member-unknown"),
+    pytest.param(_rewrite(**{"ge2e/offset": np.array(-5.0)}),
+                 r"unknown members \['ge2e/offset'\]$", id="member-retired-offset"),
     pytest.param(_rewrite(**{"out/bias": None, "out/b": np.zeros(8)}),
                  r"missing members \['out/bias'\], unknown members \['out/b'\]$",
                  id="member-renamed"),

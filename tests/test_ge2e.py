@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from svcascade import dvector, ge2e
 from svcascade.errors import CapacityError, ValidationError
 from svcascade.ge2e import (
-    CONTRAST, SCALE_FLOOR, SEGMENT_KEYWORD, SOFTMAX, TrainConfig,
-    _loss_and_embedding_grads, backward, batch_loss, gradient_check, train)
+    SCALE_FLOOR, SEGMENT_KEYWORD, TrainConfig,
+    _loss_and_embedding_grads, gradient_check, train)
 
 
 def orthogonal_batch(n=2, m=3, d=4):
@@ -25,29 +25,25 @@ def random_unit_batch(seed, n=3, m=3, d=6):
     return emb / np.linalg.norm(emb, axis=2, keepdims=True)
 
 
-def loss_of(emb, w, b, kind):
-    return _loss_and_embedding_grads(emb, w, b, kind)[0]
+def loss_of(emb, w):
+    return _loss_and_embedding_grads(emb, w)[0]
 
 
 def test_similarity_orthogonal_identical_speakers():
-    # S is w on the own-speaker column and 0 elsewhere, so the softmax (w, b)
-    # gradients are sum(dS * cos) = 6 (p_own - 1) and sum(dS) = 0
-    _, _, dw, db = _loss_and_embedding_grads(orthogonal_batch(), 10.0, 0.0, SOFTMAX)
+    # S is w on the own-speaker column and 0 elsewhere, so the scale
+    # gradient is sum(dS * cos) = 6 (p_own - 1)
+    _, _, dw = _loss_and_embedding_grads(orthogonal_batch(), 10.0)
     assert dw == pytest.approx(-6.0 / (1.0 + np.exp(10.0)), rel=1e-9)
-    assert db == pytest.approx(0.0, abs=1e-12)
 
 
 def test_similarity_antipodal_cross_terms():
     emb = np.zeros((2, 2, 3))
     emb[0, :, 0] = 1.0
     emb[1, :, 0] = -1.0
-    w, b = 1.0, 0.3
-    # own column w + b, other column -w + b
+    w = 1.0
+    # own column w, other column -w
     per_utt = np.log(1.0 + np.exp(-2.0 * w))
-    assert loss_of(emb, w, b, SOFTMAX) == pytest.approx(4 * per_utt, rel=1e-12)
-    sigmoid = lambda z: 1.0 / (1.0 + np.exp(-z))
-    per_utt = 1.0 - sigmoid(w + b) + sigmoid(-w + b)
-    assert loss_of(emb, w, b, CONTRAST) == pytest.approx(4 * per_utt, rel=1e-12)
+    assert loss_of(emb, w) == pytest.approx(4 * per_utt, rel=1e-12)
 
 
 def test_similarity_uses_leave_one_out_positive():
@@ -58,66 +54,52 @@ def test_similarity_uses_leave_one_out_positive():
     other = 2 * (np.log(np.e + 1.0) - 1.0)
     # positive for u (and v) is against the other utterance alone, u @ v ...
     loo = 2 * (np.log(np.exp(u @ v) + 1.0) - u @ v)
-    assert loss_of(emb, 1.0, 0.0, SOFTMAX) == pytest.approx(loo + other, rel=1e-12)
+    assert loss_of(emb, 1.0) == pytest.approx(loo + other, rel=1e-12)
     # ... not against the normalized mean of both
     mean = (u + v) / np.linalg.norm(u + v)
     full = sum(np.log(np.exp(e @ mean) + 1.0) - e @ mean for e in (u, v))
-    assert abs(loss_of(emb, 1.0, 0.0, SOFTMAX) - (full + other)) > 1e-3
+    assert abs(loss_of(emb, 1.0) - (full + other)) > 1e-3
 
 
 def test_similarity_rejects_bad_batches():
     for shape in ((1, 3, 4), (3, 1, 4)):
         with pytest.raises(ValidationError, match="N >= 2"):
-            loss_of(np.ones(shape), 10.0, 0.0, SOFTMAX)
-    with pytest.raises(ValidationError, match="hinge"):
-        loss_of(orthogonal_batch(), 10.0, 0.0, "hinge")
+            loss_of(np.ones(shape), 10.0)
 
 
 def test_softmax_loss_closed_form_on_degenerate_batch():
     per_utt = np.log(1.0 + np.exp(-10.0))
-    assert loss_of(orthogonal_batch(n=2, m=3), 10.0, 0.0, SOFTMAX) == \
-        pytest.approx(6 * per_utt, rel=1e-12)
-
-
-def test_contrast_loss_closed_form_on_degenerate_batch():
-    sigmoid = lambda z: 1.0 / (1.0 + np.exp(-z))
-    per_utt = 1.0 - sigmoid(10.0) + sigmoid(0.0)
-    assert loss_of(orthogonal_batch(n=2, m=3), 10.0, 0.0, CONTRAST) == \
-        pytest.approx(6 * per_utt, rel=1e-12)
+    assert loss_of(orthogonal_batch(n=2, m=3), 10.0) == pytest.approx(6 * per_utt, rel=1e-12)
 
 
 def test_softmax_loss_is_log_n_when_all_embeddings_equal():
     emb = np.broadcast_to(np.array([1.0, 0, 0]), (3, 2, 3)).copy()
-    assert loss_of(emb, 10.0, -5.0, SOFTMAX) == pytest.approx(3 * 2 * np.log(3), rel=1e-12)
+    assert loss_of(emb, 10.0) == pytest.approx(3 * 2 * np.log(3), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_loss_bounds_on_random_batches(seed):
     emb = random_unit_batch(seed)
-    w, b = 4.0, -1.0
+    w = 4.0
     n, m = emb.shape[:2]
-    soft = loss_of(emb, w, b, SOFTMAX)
-    assert 0.0 <= soft <= n * m * (np.log(n) + w + abs(b))
-    contrast = loss_of(emb, w, b, CONTRAST)
-    assert 0.0 <= contrast <= 2.0 * n * m
+    assert 0.0 <= loss_of(emb, w) <= n * m * (np.log(n) + w + 1.0)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6))
 def test_permutation_equivariance(seed):
     """Reordering speakers, or utterances within a speaker, leaves the loss
-    and the (w, b) gradients alone and reorders the embedding gradients."""
+    and the scale gradient alone and reorders the embedding gradients."""
     emb = random_unit_batch(seed, n=4)
     rng = np.random.default_rng(seed + 1)
     spk, utt = rng.permutation(4), rng.permutation(3)
-    for kind in (SOFTMAX, CONTRAST):
-        loss, dE, dw, db = _loss_and_embedding_grads(emb, 3.0, 0.5, kind)
-        for permuted, reorder in ((emb[spk], lambda a: a[spk]), (emb[:, utt], lambda a: a[:, utt])):
-            lp, dEp, dwp, dbp = _loss_and_embedding_grads(permuted, 3.0, 0.5, kind)
-            assert lp == pytest.approx(loss, rel=1e-9)
-            assert (dwp, dbp) == pytest.approx((dw, db), rel=1e-9, abs=1e-12)
-            assert np.allclose(dEp, reorder(dE), rtol=1e-9, atol=1e-12)
+    loss, dE, dw = _loss_and_embedding_grads(emb, 3.0)
+    for permuted, reorder in ((emb[spk], lambda a: a[spk]), (emb[:, utt], lambda a: a[:, utt])):
+        lp, dEp, dwp = _loss_and_embedding_grads(permuted, 3.0)
+        assert lp == pytest.approx(loss, rel=1e-9)
+        assert dwp == pytest.approx(dw, rel=1e-9, abs=1e-12)
+        assert np.allclose(dEp, reorder(dE), rtol=1e-9, atol=1e-12)
 
 
 def keyword_batch(corpus, n=3, m=2):
@@ -128,25 +110,19 @@ def keyword_batch(corpus, n=3, m=2):
 def test_gradient_check_fresh_init(small_corpus):
     params = dvector.init_network(dvector.TD_SMALL, seed=0)
     batch = keyword_batch(small_corpus)
-    assert gradient_check(params, batch, SOFTMAX, sample_count=100, seed=1) < 1e-4
-
-
-def test_gradient_check_contrast(small_corpus):
-    params = dvector.init_network(dvector.TD_SMALL, seed=2)
-    batch = keyword_batch(small_corpus)
-    assert gradient_check(params, batch, CONTRAST, sample_count=100, seed=3) < 1e-4
+    assert gradient_check(params, batch, sample_count=100, seed=1) < 1e-4
 
 
 def test_gradient_check_after_short_training(small_corpus):
-    """Every coordinate, the trained scale and offset included: they stay 0-d
-    arrays, so the checker's reshape(-1) perturbs them in place."""
+    """Every coordinate, the trained scale included: it stays a 0-d array,
+    so the checker's reshape(-1) perturbs it in place."""
     cfg = TrainConfig(batch_n=3, batch_m=2, steps=10,
                       language_weights={0: 1.0, 1: 1.0}, seed=7)
     params, _ = train(small_corpus, dvector.TD_SMALL, cfg, SEGMENT_KEYWORD)
     assert all(isinstance(v, np.ndarray) for v in params.values.values())
     count = sum(v.size for v in params.values.values())
     batch = keyword_batch(small_corpus)
-    assert gradient_check(params, batch, SOFTMAX, sample_count=count, seed=4) < 1e-4
+    assert gradient_check(params, batch, sample_count=count, seed=4) < 1e-4
 
 
 def test_gradient_check_memory_does_not_grow_with_coordinates():
@@ -156,7 +132,7 @@ def test_gradient_check_memory_does_not_grow_with_coordinates():
     batch = np.random.default_rng(0).standard_normal((2, 2, 3, 80))
     tracemalloc.start()
     try:
-        gradient_check(params, batch, SOFTMAX, sample_count=1, seed=0)
+        gradient_check(params, batch, sample_count=1, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -166,32 +142,9 @@ def test_gradient_check_memory_does_not_grow_with_coordinates():
 def test_larger_epsilon_gives_larger_error(small_corpus):
     params = dvector.init_network(dvector.TD_SMALL, seed=5)
     batch = keyword_batch(small_corpus)
-    coarse = gradient_check(params, batch, SOFTMAX, epsilon=1e-2, sample_count=60, seed=6)
-    fine = gradient_check(params, batch, SOFTMAX, epsilon=1e-4, sample_count=60, seed=6)
+    coarse = gradient_check(params, batch, epsilon=1e-2, sample_count=60, seed=6)
+    fine = gradient_check(params, batch, epsilon=1e-4, sample_count=60, seed=6)
     assert coarse > fine
-
-
-def test_offset_gradient_matches_finite_difference(small_corpus):
-    params = dvector.init_network(dvector.TD_SMALL, seed=8)
-    batch = keyword_batch(small_corpus)
-    _, grads = backward(params, batch, SOFTMAX)
-    eps = 1e-6
-    plus, minus = params.copy(), params.copy()
-    plus["ge2e/offset"] = params["ge2e/offset"] + eps
-    minus["ge2e/offset"] = params["ge2e/offset"] - eps
-    numeric = (batch_loss(plus, batch, SOFTMAX) - batch_loss(minus, batch, SOFTMAX)) / (2 * eps)
-    assert float(grads["ge2e/offset"]) == pytest.approx(numeric, abs=1e-6)
-
-
-def test_offset_moves_only_under_the_contrast_loss(small_corpus):
-    """Softmax is shift-invariant, so its offset gradient is zero up to
-    rounding and a softmax run leaves ge2e/offset at its initial -5 exactly;
-    a contrast run moves it."""
-    for kind, moves in ((SOFTMAX, False), (CONTRAST, True)):
-        cfg = TrainConfig(batch_n=3, batch_m=2, steps=10, loss_kind=kind,
-                          language_weights={0: 1.0}, seed=4)
-        params, _ = train(small_corpus, dvector.TD_SMALL, cfg, SEGMENT_KEYWORD)
-        assert (float(params["ge2e/offset"]) != -5.0) == moves, kind
 
 
 def test_train_single_language_samples_only_that_language(small_corpus):
@@ -239,5 +192,3 @@ def test_train_config_validation():
         TrainConfig(language_weights={0: 0.0}).validate()
     with pytest.raises(ValidationError):
         TrainConfig(language_weights={0: -1.0}).validate()
-    with pytest.raises(ValidationError):
-        TrainConfig(language_weights={0: 1.0}, loss_kind="hinge").validate()

@@ -209,6 +209,14 @@ def test_sweep_cell_count():
     assert len(cells) == 5 * 6 // 2  # pairs with lower <= upper on a 5-point grid
 
 
+def test_band_grid_value_bound():
+    """At most 1,001 values, counted before anything is allocated."""
+    assert band_grid(-1.0, 1.0, 0.002).size == 1001
+    for step in (0.0019, 1e-5, 1e-300, 5e-324):
+        with pytest.raises(ValidationError, match="more than 1001 values; use a step of at least 0.002"):
+            band_grid(-1.0, 1.0, step)
+
+
 def test_final_scores_match_manual_mixing(scored_trials):
     final, _ = apply_triage(scored_trials, POLICY)
     for got, td, ti in zip(final, scored_trials.td, scored_trials.ti):
