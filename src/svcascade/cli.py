@@ -34,6 +34,17 @@ def _ckpt_path(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.checkpoint_dir, f"{name}.ckpt")
 
 
+def _load_checkpoint(cfg: ExperimentConfig, name: str,
+                     spec: dvector.NetworkSpec) -> dvector.Parameters:
+    """`train`'s checkpoint `name`, which must hold the network `spec` of the config."""
+    path = _require(_ckpt_path(cfg, name), "train")
+    params = dvector.load_checkpoint(path)
+    if params.spec != spec:
+        raise DependencyError(f"{path} holds {params.spec}, but the config asks for {spec}; "
+                              "run `svcascade train` first")
+    return params
+
+
 def _scores_path(cfg: ExperimentConfig) -> str:
     return os.path.join(cfg.score_dir, "scores.tsv")
 
@@ -80,8 +91,8 @@ def cmd_train(cfg: ExperimentConfig) -> None:
 def cmd_score(cfg: ExperimentConfig) -> None:
     corpus = _load_corpus(cfg)
     trials = synthcorpus.load_trials(_require(_trials_path(cfg), "gen-data"), corpus)
-    td_params = dvector.load_checkpoint(_require(_ckpt_path(cfg, "td"), "train"))
-    ti_params = dvector.load_checkpoint(_require(_ckpt_path(cfg, "ti"), "train"))
+    td_params = _load_checkpoint(cfg, "td", cfg.td_network)
+    ti_params = _load_checkpoint(cfg, "ti", cfg.ti_network)
     scores = scoring.score_trials(td_params, ti_params, corpus, trials)
     scoring.save_scores(_scores_path(cfg), scores)
 
@@ -143,8 +154,8 @@ def cmd_xeval(cfg: ExperimentConfig) -> None:
     langs = cfg.xeval_languages
     eval_sets = [(lang, corpus, synthcorpus.load_trials(
         _require(_trials_path(cfg, lang), "gen-data"), corpus)) for lang in langs]
-    td_pooled, ti_pooled = (dvector.load_checkpoint(_require(_ckpt_path(cfg, name), "train"))
-                            for name in ("td", "ti"))
+    td_pooled = _load_checkpoint(cfg, "td", cfg.td_network)
+    ti_pooled = _load_checkpoint(cfg, "ti", cfg.ti_network)
     td = ge2e.train_per_language(corpus, cfg.td_network, cfg.td_train, ge2e.SEGMENT_KEYWORD,
                                  {lang: cfg.td_train.seed + 1000 + lang for lang in langs})
     ti = ge2e.train_per_language(corpus, cfg.ti_network, cfg.ti_train,

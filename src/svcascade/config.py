@@ -4,10 +4,10 @@ numbers), and documented defaults for every key.
 
 Each value is parsed once, by its schema parser, into the type the stages
 use.  Range rules that a stage owns (spec shapes, training settings, the
-fusion and band grids, the triage band) are checked at parse time by that
-stage's own validator, and the corpus shape that trial splitting and
-training batches need is checked against the corpus spec, so a config that
-parses is one every stage accepts.
+fusion and band grids, the triage band) are checked at parse time by
+building that stage's own types and grids, and the corpus shape that trial
+splitting and training batches need is checked against the corpus spec, so
+a config that parses is one every stage accepts.
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ def _path(v: str) -> str:
 def _alpha(v: str) -> FusionWeight | None:
     if v == "sweep":
         return None
-    alpha = FusionWeight(_real(v))
-    alpha.validate()
-    return alpha
+    return FusionWeight(_real(v))
 
 
 def _priors(v: str) -> list[float]:
@@ -212,10 +210,10 @@ def _read_flat_file(path: str) -> dict[str, str]:
     return values
 
 
-def _check(what: str, validate, *args) -> None:
-    """Runs a stage's validator, naming the config keys it judged."""
+def _check(what: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, a stage's type or grid, naming the config keys it refuses."""
     try:
-        validate(*args)
+        return make(*args, **kwargs)
     except ValidationError as exc:
         raise ValidationError(f"config {what}: {exc}") from None
 
@@ -266,11 +264,9 @@ def parse_config(path: str, seed_override: int | None = None) -> ExperimentConfi
                        "train.td.seed": seed_override + 1, "train.ti.seed": seed_override + 2})
 
     def build(cls, section: str, **named):
-        """A validated `cls` whose fields are the `section.<field>` keys, except `named`."""
-        built = cls(**{f.name: values[f"{section}.{f.name}"] for f in fields(cls)
-                       if f.name not in named}, **named)
-        _check(section, built.validate)
-        return built
+        """A `cls` whose fields are the `section.<field>` keys, except `named`."""
+        return _check(section, cls, **{f.name: values[f"{section}.{f.name}"] for f in fields(cls)
+                                       if f.name not in named}, **named)
 
     corpus_spec = build(CorpusSpec, "corpus", utterance_overrides=values["corpus.overrides"])
     languages = corpus_spec.languages
@@ -293,7 +289,7 @@ def parse_config(path: str, seed_override: int | None = None) -> ExperimentConfi
     _check("triage.band_*", band_grid,
            values["triage.band_min"], values["triage.band_max"], values["triage.band_step"])
     # a swept alpha lies on the [0, 1] grid, so any weight stands in for it here
-    _check("triage.lower/upper", TriagePolicy(lower, upper, alpha or FusionWeight(0.0)).validate)
+    _check("triage.lower/upper", TriagePolicy, lower, upper, alpha or FusionWeight(0.0))
 
     return ExperimentConfig(
         corpus_dir=values["paths.corpus_dir"],

@@ -32,7 +32,7 @@ class NetworkSpec:
     projection_dim: int
     output_dim: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in SPEC_FIELDS:
             value = getattr(self, name)
             if int(value) != value or value < 1:
@@ -73,7 +73,6 @@ def param_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
     """The network's one description: every parameter's shape, in the
     canonical order that initialization and checkpoints follow.  Layer 0
     reads the input frames, every later layer the projection below it."""
-    spec.validate()
     c, p = spec.cells, spec.projection_dim
     shapes: dict[str, tuple[int, ...]] = {}
     in_dim = spec.input_dim

@@ -34,7 +34,7 @@ class Waveform:
     samples: np.ndarray
     sample_rate_hz: int = SAMPLE_RATE
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.sample_rate_hz != SAMPLE_RATE:
             raise ValidationError(f"expected {SAMPLE_RATE} Hz audio, got {self.sample_rate_hz}")
         if self.samples.ndim != 1:
@@ -49,7 +49,7 @@ class FeatureSequence:
     frames: np.ndarray  # (T, D)
     kind: str  # RAW_MEL or STACKED_NORMALIZED
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         expected = {RAW_MEL: NUM_MEL_BINS, STACKED_NORMALIZED: 2 * NUM_MEL_BINS}
         if self.kind not in expected:
             raise ValidationError(f"unknown feature kind {self.kind!r}")
@@ -90,7 +90,6 @@ HANN_WINDOW = np.hanning(WINDOW_SAMPLES)
 
 
 def extract_logmel(waveform: Waveform) -> FeatureSequence:
-    waveform.validate()
     samples = np.asarray(waveform.samples, dtype=np.float64)
     num_frames = (len(samples) - WINDOW_SAMPLES) // HOP_SAMPLES + 1
     idx = np.arange(WINDOW_SAMPLES)[None, :] + HOP_SAMPLES * np.arange(num_frames)[:, None]
@@ -103,7 +102,6 @@ def extract_logmel(waveform: Waveform) -> FeatureSequence:
 
 
 def stack_and_normalize(features: FeatureSequence) -> FeatureSequence:
-    features.validate()
     if features.kind != RAW_MEL:
         raise ValidationError("stack_and_normalize expects raw-mel input")
     frames = features.frames

@@ -16,7 +16,7 @@ from .scoring import ScoreTable
 class FusionWeight:
     alpha: float  # weight on the TD score
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 <= self.alpha <= 1.0):
             raise ValidationError(f"fusion weight must be in [0, 1], got {self.alpha}")
 
@@ -26,6 +26,11 @@ class FusionSweepResult:
     alpha_star: float
     eer_at_alpha_star: float
     table: list[tuple[float, float]]  # (alpha, eer)
+
+    @classmethod
+    def of(cls, table: list[tuple[float, float]]) -> FusionSweepResult:
+        """`table` and its best alpha: the lowest EER's, the smallest alpha on ties."""
+        return cls(*min(table, key=lambda ae: (ae[1], ae[0])), table)
 
 
 def alpha_grid(grid_step: float) -> list[float]:
@@ -37,15 +42,13 @@ def alpha_grid(grid_step: float) -> list[float]:
 
 
 def sweep_fusion_weight(scores: ScoreTable, grid_step: float = 0.01) -> FusionSweepResult:
-    """EER at each alpha on the grid (endpoints always included); the
-    minimizing alpha wins, smallest alpha on ties."""
+    """EER at each alpha on the grid (endpoints always included)."""
     n_tar, td, ti = scores.fusable("fusion sweep")
     table = []
     for alpha in alpha_grid(grid_step):
         fused = alpha * td + (1.0 - alpha) * ti
         table.append((alpha, compute_eer(fused[:n_tar], fused[n_tar:]).eer))
-    best_alpha, best_eer = min(table, key=lambda ae: (ae[1], ae[0]))
-    return FusionSweepResult(alpha_star=best_alpha, eer_at_alpha_star=best_eer, table=table)
+    return FusionSweepResult.of(table)
 
 
 def save_sweep_csv(path: str, result: FusionSweepResult) -> None:
@@ -73,5 +76,4 @@ def load_sweep_csv(path: str) -> FusionSweepResult:
         raise ValidationError(f"{path}: empty fusion sweep")
     if table[-1][0] != 1.0:
         raise ValidationError(f"{path}:{lineno}: the last alpha must be 1, got {table[-1][0]}")
-    best_alpha, best_eer = min(table, key=lambda ae: (ae[1], ae[0]))
-    return FusionSweepResult(alpha_star=best_alpha, eer_at_alpha_star=best_eer, table=table)
+    return FusionSweepResult.of(table)

@@ -10,7 +10,7 @@ strictly positive by projecting it to a small floor after each update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,15 +27,15 @@ SCALE_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class TrainConfig:
+    language_weights: dict[int, float]
     batch_n: int = 4
     batch_m: int = 3
     steps: int = 200
     learning_rate: float = 0.01
     clip_norm: float = 3.0
-    language_weights: dict[int, float] = field(default_factory=dict)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.batch_n < 2 or self.batch_m < 2:
             raise ValidationError(
                 f"batch needs >= 2 speakers and >= 2 utterances each, "
@@ -203,8 +203,6 @@ def train(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
     replacement inside the batch.  Returns (parameters, loss trace), where
     the trace rows are (step, loss, language).
     """
-    cfg.validate()
-    spec.validate()
     if spec.input_dim != corpus.spec.feature_dim:
         raise ValidationError(
             f"network input_dim {spec.input_dim} != corpus feature_dim "

@@ -21,9 +21,12 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import errors
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, NumericError, ValidationError
 
 CONTENT_AMPLITUDE = 1.0
+_COUNT_FIELDS = ("languages", "speakers_per_language", "utterances_per_speaker",
+                 "keyword_frames", "query_frames", "feature_dim")
+_SCALE_FIELDS = ("language_shift_scale", "speaker_scale", "utterance_noise_scale")
 
 
 @dataclass(frozen=True)
@@ -41,24 +44,13 @@ class CorpusSpec:
     # language id -> utterances per speaker, to mimic uneven per-language data
     utterance_overrides: dict[int, int] = field(default_factory=dict)
 
-    def validate(self) -> None:
-        counts = {
-            "languages": self.languages,
-            "speakers_per_language": self.speakers_per_language,
-            "utterances_per_speaker": self.utterances_per_speaker,
-            "keyword_frames": self.keyword_frames,
-            "query_frames": self.query_frames,
-            "feature_dim": self.feature_dim,
-        }
-        for name, value in counts.items():
+    def __post_init__(self) -> None:
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
             if int(value) != value or value < 1:
                 raise ValidationError(f"corpus spec: {name} must be a count >= 1, got {value}")
-        scales = {
-            "language_shift_scale": self.language_shift_scale,
-            "speaker_scale": self.speaker_scale,
-            "utterance_noise_scale": self.utterance_noise_scale,
-        }
-        for name, value in scales.items():
+        for name in _SCALE_FIELDS:
+            value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
                 raise ValidationError(f"corpus spec: {name} must be a nonnegative real, got {value}")
         for lang, count in self.utterance_overrides.items():
@@ -134,8 +126,8 @@ def _keyword_cycles(frames: int, dim: int) -> np.ndarray:
     return 1.0 + (np.arange(dim) % kmax)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # frames beyond float32 are refused below
 def generate_corpus(spec: CorpusSpec) -> Corpus:
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     dim = spec.feature_dim
     kw_cycles = _keyword_cycles(spec.keyword_frames, dim)
@@ -163,6 +155,9 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
                     keyword=keyword,
                     query=query,
                 ))
+    if not all(np.isfinite(u.keyword).all() and np.isfinite(u.query).all() for u in utterances):
+        scales = ", ".join(f"{name}={getattr(spec, name):g}" for name in _SCALE_FIELDS)
+        raise NumericError(f"corpus spec: {scales} put frames beyond float32's range")
     return Corpus(spec=spec, utterances=utterances, voice_vectors=voices)
 
 
@@ -252,20 +247,19 @@ def load_corpus(directory: str) -> Corpus:
     overrides = arrays["utterance_overrides"]
     if overrides.ndim != 2 or overrides.shape[1] != 2 or overrides.dtype.kind != "i":
         raise ValidationError(f"{path}: utterance_overrides must be (language, count) int rows")
-    spec = CorpusSpec(**{key: arrays[key].item() for key in types},
-                      utterance_overrides=dict(overrides.tolist()))
     try:
-        spec.validate()
+        spec = CorpusSpec(**{key: arrays[key].item() for key in types},
+                          utterance_overrides=dict(overrides.tolist()))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    # override languages are distinct and in range once the spec validates
+    # override languages are distinct and in range once the spec is built
     count = spec.speakers_per_language * (sum(spec.utterance_overrides.values()) + (
         spec.languages - len(spec.utterance_overrides)) * spec.utterances_per_speaker)
     for kind, frames in (("keyword", spec.keyword_frames), ("query", spec.query_frames)):
         arr, shape = arrays[kind], (count, frames, spec.feature_dim)
-        if arr.dtype != np.dtype("<f4") or arr.shape != shape:
-            raise ValidationError(
-                f"{path}: {kind} must be <f4 of shape {shape}, got {arr.dtype.str} {arr.shape}")
+        if arr.dtype != np.dtype("<f4") or arr.shape != shape or not np.isfinite(arr).all():
+            raise ValidationError(f"{path}: {kind} must be <f4 of shape {shape} with finite "
+                                  f"values, got {arr.dtype.str} {arr.shape}")
     keys = ((lang, spk, utt) for lang in range(spec.languages)
             for spk in range(spec.speakers_per_language) for utt in range(spec.utterances_for(lang)))
     return Corpus(spec=spec, utterances=[

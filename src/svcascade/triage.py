@@ -37,12 +37,11 @@ class TriagePolicy:
     upper: float
     alpha: FusionWeight
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (-1.0 <= self.lower <= self.upper <= 1.0):
             raise ValidationError(
                 f"triage band must satisfy -1 <= lower <= upper <= 1, "
                 f"got ({self.lower}, {self.upper})")
-        self.alpha.validate()
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class CostModel:
     td_flops: int
     ti_flops: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (self.keyword_seconds > 0 and self.query_seconds > 0):
             raise ValidationError("cost model durations must be positive")
         if self.td_flops < 0 or self.ti_flops < 0:
@@ -62,7 +61,6 @@ class CostModel:
         """(seconds, flops) per decision at a trigger rate, assuming an
         immediate system response: the keyword and the TD model always run,
         the query and the TI model only on trigger."""
-        self.validate()
         if not (0.0 <= rate <= 1.0):
             raise ValidationError(f"trigger rate must be in [0, 1], got {rate}")
         return (self.keyword_seconds + rate * self.query_seconds,
@@ -76,7 +74,6 @@ def in_band(td, lower: float, upper: float):
 
 
 def triage_decide(td_score: float, policy: TriagePolicy) -> Decision:
-    policy.validate()
     if not np.isfinite(td_score):
         raise ValidationError(f"TD score must be finite, got {td_score}")
     if in_band(td_score, policy.lower, policy.upper):
@@ -87,7 +84,6 @@ def triage_decide(td_score: float, policy: TriagePolicy) -> Decision:
 def apply_triage(scores: ScoreTable, policy: TriagePolicy) -> tuple[np.ndarray, np.ndarray]:
     """(final, triggered): final is the fused score on triggered trials and
     the TD score elsewhere.  TI scores are needed only where a trial triggers."""
-    policy.validate()
     triggered = in_band(scores.td, policy.lower, policy.upper)
     if scores.ti is None:
         if triggered.any():
@@ -253,7 +249,6 @@ def sweep_bands(scores: ScoreTable, grid_min: float, grid_max: float,
     An empty band (lower == upper) triggers nothing, so its EER is the TD
     system's.  Every other cell's EER comes from per-class counts of final
     scores below each candidate threshold, bisected for all cells at once."""
-    alpha.validate()
     values = band_grid(grid_min, grid_max, step)
     n_tar, td, ti = scores.fusable("band sweep")
     fused = alpha.alpha * td + (1.0 - alpha.alpha) * ti

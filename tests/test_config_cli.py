@@ -7,9 +7,11 @@ import pytest
 
 from svcascade import cli, fusion, ge2e, scoring, synthcorpus
 from svcascade.config import parse_config
+from svcascade.dvector import NetworkSpec
 from svcascade.errors import CapacityError, ValidationError
+from svcascade.frontend import RAW_MEL, FeatureSequence, Waveform
 from svcascade.metrics import compute_eer
-from svcascade.triage import TriagePolicy
+from svcascade.triage import CostModel, TriagePolicy
 
 
 def write_config(path, workdir, **overrides):
@@ -53,8 +55,35 @@ def test_defaults_from_empty_file(tmp_path):
     assert cfg.priors == [0.0, 0.5, 1.0]
     assert cfg.keyword_seconds == 0.7 and cfg.query_seconds == 3.0
     # the defaults form a valid triage policy once an alpha is known
-    TriagePolicy(cfg.triage_lower, cfg.triage_upper,
-                 cli.FusionWeight(0.5)).validate()
+    TriagePolicy(cfg.triage_lower, cfg.triage_upper, cli.FusionWeight(0.5))
+
+
+@pytest.mark.parametrize("cls, good, bad, message", [
+    pytest.param(NetworkSpec, dict(input_dim=16, num_layers=3, cells=16, projection_dim=8,
+                                   output_dim=8), {"cells": 0}, "cells must be a positive count",
+                 id="network-spec"),
+    pytest.param(synthcorpus.CorpusSpec, {}, {"speaker_scale": float("nan")},
+                 "speaker_scale must be a nonnegative real", id="corpus-spec"),
+    pytest.param(ge2e.TrainConfig, {"language_weights": {0: 1.0}}, {"clip_norm": 0.0},
+                 "clip_norm must be positive", id="train-config"),
+    pytest.param(fusion.FusionWeight, {"alpha": 0.5}, {"alpha": 1.5},
+                 "fusion weight must be in", id="fusion-weight"),
+    pytest.param(TriagePolicy, dict(lower=0.2, upper=0.6, alpha=fusion.FusionWeight(0.5)),
+                 {"lower": 0.7}, "triage band must satisfy", id="triage-policy"),
+    pytest.param(CostModel, dict(keyword_seconds=0.7, query_seconds=3.0, td_flops=1, ti_flops=1),
+                 {"query_seconds": 0.0}, "durations must be positive", id="cost-model"),
+    pytest.param(Waveform, {"samples": np.zeros(400)}, {"sample_rate_hz": 8000},
+                 "expected 16000 Hz", id="waveform"),
+    pytest.param(FeatureSequence, dict(frames=np.zeros((2, 40)), kind=RAW_MEL),
+                 {"frames": np.full((2, 40), np.nan)}, "non-finite feature values",
+                 id="feature-sequence"),
+])
+def test_stage_types_refuse_bad_values_when_built(cls, good, bad, message):
+    """Every object of a stage type is valid, whether built or copied by `replace`."""
+    with pytest.raises(ValidationError, match=message):
+        cls(**{**good, **bad})
+    with pytest.raises(ValidationError, match=message):
+        replace(cls(**good), **bad)
 
 
 def test_desk_cfg_spells_out_the_defaults(tmp_path):
@@ -177,6 +206,39 @@ def test_gen_data_writes_nothing_when_a_split_fails(tmp_path):
         cli.cmd_gen_data(cfg)
     assert not (tmp_path / "corpus").exists()
     assert cli.run("train", str(cfg_path)) == 2
+
+
+@pytest.mark.parametrize("key, value", [("corpus.utterance_noise_scale", "1e300"),
+                                        ("corpus.speaker_scale", "1e40")])
+def test_gen_data_refuses_frames_beyond_float32(tmp_path, capsys, key, value):
+    """Whether a scale overflows depends on the draws, so gen-data, not the
+    config parser, refuses it, before it writes anything."""
+    cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path), **{key: value})
+    assert cli.run("gen-data", str(cfg_path)) == 3
+    err = capsys.readouterr().err
+    assert key.split(".")[1] in err and "float32" in err and "Traceback" not in err
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_checkpoints_of_another_network_are_refused(tmp_path, capsys):
+    """`score` and `xeval` refuse `train`'s checkpoints once the config names
+    another network, or a corpus of another feature_dim, and write nothing."""
+    cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path))
+    assert cli.run("gen-data", str(cfg_path)) == 0
+    assert cli.run("train", str(cfg_path)) == 0
+    trained = sorted(os.listdir(tmp_path / "checkpoints"))
+    for key, value in (("network.td.cells", "24"), ("corpus.feature_dim", "12")):
+        changed = write_config(tmp_path / "changed.cfg", str(tmp_path), **{key: value})
+        if key.startswith("corpus."):
+            assert cli.run("gen-data", str(changed)) == 0
+        capsys.readouterr()
+        for command in ("score", "xeval"):
+            assert cli.run(command, str(changed)) == 2
+            err = capsys.readouterr().err
+            assert "td.ckpt" in err and "svcascade train" in err and "Traceback" not in err
+            assert err.count("NetworkSpec(") == 2  # the checkpoint's and the config's
+        assert not (tmp_path / "scores").exists()
+        assert sorted(os.listdir(tmp_path / "checkpoints")) == trained
 
 
 def test_missing_config_file():

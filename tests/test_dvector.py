@@ -83,7 +83,7 @@ def test_init_weights_are_float32_values():
 
 def test_output_dim_must_equal_projection_dim():
     with pytest.raises(ValidationError):
-        NetworkSpec(16, 3, 32, 16, 8).validate()
+        NetworkSpec(16, 3, 32, 16, 8)
 
 
 def test_embedding_is_unit_norm_and_deterministic():

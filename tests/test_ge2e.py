@@ -187,8 +187,8 @@ def test_train_capacity_error(small_corpus):
 
 def test_train_config_validation():
     with pytest.raises(ValidationError):
-        TrainConfig(batch_n=1, language_weights={0: 1.0}).validate()
+        TrainConfig(batch_n=1, language_weights={0: 1.0})
     with pytest.raises(ValidationError):
-        TrainConfig(language_weights={0: 0.0}).validate()
+        TrainConfig(language_weights={0: 0.0})
     with pytest.raises(ValidationError):
-        TrainConfig(language_weights={0: -1.0}).validate()
+        TrainConfig(language_weights={0: -1.0})

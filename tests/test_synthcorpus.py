@@ -153,6 +153,8 @@ def _rewrite(**members):
     pytest.param(_rewrite(keyword=np.zeros((24, 3, 6), np.float32)), "keyword must be",
                  id="keyword-shape"),
     pytest.param(_rewrite(query=np.zeros((24, 12, 6))), "query must be <f4", id="query-float64"),
+    pytest.param(_rewrite(keyword=np.full((24, 8, 6), np.inf, np.float32)),
+                 "keyword must be .* with finite values", id="keyword-non-finite"),
     pytest.param(_rewrite(keyword=np.array([None, "x"], dtype=object)), "Object arrays",
                  id="object-array"),
     pytest.param(_rewrite(feature_dim=np.array(0)), "feature_dim must be a count",

@@ -37,11 +37,11 @@ def test_decide_validates():
     with pytest.raises(ValidationError):
         triage_decide(float("inf"), POLICY)
     with pytest.raises(ValidationError):
-        TriagePolicy(0.7, 0.3, FusionWeight(0.5)).validate()
+        TriagePolicy(0.7, 0.3, FusionWeight(0.5))
     with pytest.raises(ValidationError):
-        TriagePolicy(-2.0, 0.3, FusionWeight(0.5)).validate()
+        TriagePolicy(-2.0, 0.3, FusionWeight(0.5))
     with pytest.raises(ValidationError, match="fusion weight"):
-        TriagePolicy(0.2, 0.3, FusionWeight(1.5)).validate()
+        TriagePolicy(0.2, 0.3, FusionWeight(1.5))
 
 
 def test_apply_mixed_hand_case():
