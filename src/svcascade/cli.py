@@ -123,8 +123,8 @@ def cmd_triage_sweep(cfg: ExperimentConfig) -> None:
     triage.save_heatmap_csv(os.path.join(cfg.report_dir, "heatmap.csv"), cells)
     triage.save_heatmap_csv(os.path.join(cfg.report_dir, "frontier.csv"),
                             triage.pareto_frontier(cells))
-    points = triage.prior_sensitivity_curve(cells, cfg.priors)
-    triage.save_prior_curve_csv(os.path.join(cfg.report_dir, "prior_curve.csv"), points)
+    triage.save_prior_curve_csv(
+        os.path.join(cfg.report_dir, "prior_curve.csv"), cells, cfg.priors)
 
 
 def cmd_triage_apply(cfg: ExperimentConfig) -> None:

@@ -192,8 +192,10 @@ def _read_flat_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         lines = errors.read_text(path).splitlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from None
+    except ValidationError as exc:
+        if not isinstance(exc.__cause__, OSError):
+            raise
+        raise ValidationError(f"cannot read config {path}: {exc.__cause__}") from None
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

@@ -42,8 +42,9 @@ class NumericError(ToolError):
 
 
 def read_text(path: str) -> str:
-    """The whole file decoded as UTF-8, with universal newlines; bytes that
-    do not decode are a ValidationError naming path:line."""
+    """The whole file decoded as UTF-8, with universal newlines; bytes that do
+    not decode, or a file that cannot be opened, are a ValidationError naming
+    path:line or path."""
     try:
         with open(path, encoding="utf-8") as f:
             return f.read()
@@ -51,20 +52,29 @@ def read_text(path: str) -> str:
         # read() decodes the whole file at once, so e.object is all of it
         line = len((e.object[:e.start].decode("utf-8") + "?").splitlines())
         raise ValidationError(f"{path}:{line}: not UTF-8 text") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
 @contextlib.contextmanager
 def write_atomic(path: str, binary: bool = False):
     """A file opened at path + ".partial" (its directory made if missing), as
     bytes or as UTF-8 text without newline translation, and renamed to `path`
-    when the block ends.  If it raises, that file is removed and `path` kept."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    when the block ends.  If the block raises, that file is removed and `path`
+    kept; an OSError outside the block is a ValidationError naming `path`."""
     partial = path + ".partial"
     try:
-        with (open(partial, "wb") if binary
-              else open(partial, "w", encoding="utf-8", newline="")) as f:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        f = open(partial, "wb") if binary else open(partial, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
+    try:
+        with f:
             yield f
-        os.replace(partial, path)
+        try:
+            os.replace(partial, path)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from None
     finally:
         if os.path.exists(partial):
             os.remove(partial)

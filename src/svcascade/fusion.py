@@ -33,12 +33,20 @@ class FusionSweepResult:
         return cls(*min(table, key=lambda ae: (ae[1], ae[0])), table)
 
 
+GRID_END_GAP = 5e-7  # half the last of the 6 decimals the sweep files write
+
+
+def sweep_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo + step * i for i = 0, 1, ... while below hi - GRID_END_GAP, then hi."""
+    values = lo + step * np.arange(int(np.floor((hi - lo) / step + 1e-9)) + 1)
+    return np.append(values[values < hi - GRID_END_GAP], hi)
+
+
 def alpha_grid(grid_step: float) -> list[float]:
-    """0, grid_step, ... while below 1 at save_sweep_csv's 6 decimals, then 1."""
+    """sweep_grid(0, 1, grid_step): 0, grid_step, ... then 1."""
     if not (1e-5 <= grid_step <= 0.5):
         raise ValidationError(f"grid step must be in [1e-05, 0.5], got {grid_step}")
-    count = int(np.floor(1.0 / grid_step + 1e-9)) + 1
-    return [i * grid_step for i in range(count) if i * grid_step < 1.0 - 5e-7] + [1.0]
+    return sweep_grid(0.0, 1.0, grid_step).tolist()
 
 
 def sweep_fusion_weight(scores: ScoreTable, grid_step: float = 0.01) -> FusionSweepResult:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import errors
 from .errors import ValidationError
-from .fusion import FusionWeight
+from .fusion import GRID_END_GAP, FusionWeight, sweep_grid
 from .metrics import compute_eer, far_frr_from_counts, interpolate_eer
 from .scoring import ScoreTable
 
@@ -136,16 +136,13 @@ def band_grid(grid_min: float, grid_max: float, step: float) -> np.ndarray:
         raise ValidationError(f"band grid step must be positive, got {step}")
     if not -1.0 <= grid_min < grid_max <= 1.0:
         raise ValidationError(f"band grid needs -1 <= min < max <= 1, got [{grid_min}, {grid_max}]")
-    count = min(np.floor((grid_max - grid_min) / step + 1e-9), BAND_GRID_MAX_VALUES)
-    values = grid_min + step * np.arange(int(count) + 1)
-    if values[-1] < grid_max - 1e-12:
-        values = np.append(values, grid_max)
-    if values.size > BAND_GRID_MAX_VALUES:
+    # too many values iff sweep_grid would keep its value at i = BAND_GRID_MAX_VALUES - 1
+    if grid_min + step * (BAND_GRID_MAX_VALUES - 1) < grid_max - GRID_END_GAP:
         raise ValidationError(
             f"band grid step {step} over [{grid_min}, {grid_max}] gives more than "
             f"{BAND_GRID_MAX_VALUES} values; use a step of at least "
             f"{(grid_max - grid_min) / (BAND_GRID_MAX_VALUES - 1):g}")
-    return values
+    return sweep_grid(grid_min, grid_max, step)
 
 
 _CELL_BLOCK = 512  # cells per vectorized block, so temporaries do not grow with the grid
@@ -275,26 +272,6 @@ def sweep_bands(scores: ScoreTable, grid_min: float, grid_max: float,
     return cells
 
 
-@dataclass(frozen=True)
-class PriorPoint:
-    prior: float
-    lower: float
-    upper: float
-    trigger_rate: float
-    eer: float
-
-
-def prior_sensitivity_curve(cells: list[BandCell], priors: list[float]) -> list[PriorPoint]:
-    """For each swept band and each prior: (trigger rate under that prior,
-    triaged EER).  The EER is prior-independent; only the rate moves."""
-    for p in priors:
-        if not (0.0 <= p <= 1.0):
-            raise ValidationError(f"prior must be in [0, 1], got {p}")
-    return [PriorPoint(prior=p, lower=c.lower, upper=c.upper, trigger_rate=c.rate_at(p),
-                       eer=c.eer)
-            for c in cells for p in priors]
-
-
 def pareto_frontier(cells: list[BandCell]) -> list[BandCell]:
     """The (trigger rate, EER) trade-off: the cells, in order of (trigger
     rate, EER), whose EER is below that of every cell before them."""
@@ -311,9 +288,11 @@ def save_heatmap_csv(path: str, cells: list[BandCell]) -> None:
                        header=("lower", "upper", "eer", "trigger_rate"), sep=",")
 
 
-def save_prior_curve_csv(path: str, points: list[PriorPoint]) -> None:
-    errors.write_table(path, (("%.6f" % p.prior, "%.6f" % p.lower, "%.6f" % p.upper,
-                               "%.9f" % p.trigger_rate, "%.9f" % p.eer) for p in points),
+def save_prior_curve_csv(path: str, cells: list[BandCell], priors: list[float]) -> None:
+    """Each cell once per prior, with its trigger rate under that prior."""
+    errors.write_table(path, (("%.6f" % p, "%.6f" % c.lower, "%.6f" % c.upper,
+                               "%.9f" % c.rate_at(p), "%.9f" % c.eer)
+                              for c in cells for p in priors),
                        header=("prior", "lower", "upper", "trigger_rate", "eer"), sep=",")
 
 

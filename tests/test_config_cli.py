@@ -162,6 +162,7 @@ def test_cost_durations_must_be_positive(tmp_path):
     pytest.param("triage.band_step", "1e-300", None, "triage.band_*", id="band-step-too-fine"),
     pytest.param("fusion.grid_step", "1e-6", None, "fusion.grid_step",
                  id="alpha-grid-finer-than-the-sweep-file"),
+    pytest.param("triage.priors", "0,1.5", None, "triage.priors", id="prior-above-one"),
     pytest.param("train.td.language_weights", "9:1", None, "train.td.language_weights",
                  id="weight-language-range"),
     pytest.param("train.td.language_weights", "0:nan,1:1", None,
@@ -390,6 +391,27 @@ def test_bad_artifact_names_file_and_line(tmp_path, capsys, rel, text, command, 
     assert cli.run(command, str(cfg_path)) == 1
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, make_unusable, where", [
+    pytest.param("fuse-sweep", lambda d: (d / "reports").write_text("a file\n"),
+                 "cannot write {}/reports/fusion_sweep.csv", id="report-dir-names-a-file"),
+    pytest.param("fuse-sweep", lambda d: (d / "reports" / "fusion_sweep.csv").mkdir(parents=True),
+                 "cannot write {}/reports/fusion_sweep.csv", id="sweep-csv-is-a-directory"),
+    pytest.param("eval", lambda d: (d / "scores" / "scores.tsv").mkdir(parents=True),
+                 "cannot read {}/scores/scores.tsv", id="scores-tsv-is-a-directory"),
+])
+def test_unusable_artifact_path_is_named(tmp_path, capsys, command, make_unusable, where):
+    cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path))
+    make_unusable(tmp_path)
+    scores = tmp_path / "scores" / "scores.tsv"
+    if not scores.exists():
+        scores.parent.mkdir()
+        scores.write_text(GOOD_ARTIFACTS["scores/scores.tsv"])
+    assert cli.run(command, str(cfg_path)) == 1
+    err = capsys.readouterr().err
+    assert where.format(tmp_path) in err and "Traceback" not in err
+    assert not list(tmp_path.glob("**/*.partial"))
 
 
 @pytest.fixture(scope="module")

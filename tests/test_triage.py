@@ -11,8 +11,8 @@ from svcascade.fusion import FusionWeight, sweep_fusion_weight
 from svcascade.metrics import compute_eer
 from svcascade.scoring import ScoreTable
 from svcascade.triage import (
-    CostModel, Decision, TriagePolicy, apply_triage, band_grid, in_band,
-    prior_sensitivity_curve, sweep_bands, triage_decide, trigger_rate)
+    CostModel, Decision, TriagePolicy, apply_triage, band_grid, in_band, sweep_bands,
+    triage_decide, trigger_rate)
 
 from conftest import interleaved_scores, make_scores
 
@@ -209,6 +209,17 @@ def test_sweep_cell_count():
     assert len(cells) == 5 * 6 // 2  # pairs with lower <= upper on a 5-point grid
 
 
+def test_band_grid_includes_endpoints():
+    # 100 steps of 0.019999998 end at 0.9999998000000001, which heatmap.csv
+    # would write as 1.000000 beside the appended 1.0
+    for step in (0.5, 0.3, 0.7, 0.02, 0.04, 0.019999998, 0.002):
+        grid = band_grid(-1.0, 1.0, step)
+        assert grid[0] == -1.0 and grid[-1] == 1.0
+        written = [float("%.6f" % v) for v in grid]  # as save_heatmap_csv writes them
+        assert all(b > a for a, b in zip(written, written[1:]))
+    assert band_grid(-1.0, 1.0, 0.019999998)[-2] == pytest.approx(0.98, abs=1e-6)
+
+
 def test_band_grid_value_bound():
     """At most 1,001 values, counted before anything is allocated."""
     assert band_grid(-1.0, 1.0, 0.002).size == 1001
@@ -226,26 +237,21 @@ def test_final_scores_match_manual_mixing(scored_trials):
             assert got == td
 
 
-def test_prior_curve_rates_interpolate():
+def test_prior_curve_rates_interpolate(tmp_path):
     cells = sweep_bands(random_scores(2), -1.0, 1.0, 0.5, FusionWeight(0.5))
-    points = prior_sensitivity_curve(cells, priors=[0.0, 0.5, 1.0])
-    assert len(points) == 3 * len(cells)
-    by_key = {}
-    for p in points:
-        by_key.setdefault((p.lower, p.upper), {})[p.prior] = p
-    for cell in cells:
-        d = by_key[(cell.lower, cell.upper)]
-        lo, mid, hi = d[0.0], d[0.5], d[1.0]
-        assert mid.trigger_rate == pytest.approx(
-            0.5 * (lo.trigger_rate + hi.trigger_rate), abs=1e-12)
-        assert mid.trigger_rate == cell.trigger_rate
-        assert lo.eer == mid.eer == hi.eer == cell.eer  # EER does not depend on the prior
-
-
-def test_prior_curve_validates_priors():
-    cells = sweep_bands(random_scores(3), -1.0, 1.0, 0.5, FusionWeight(0.5))
-    with pytest.raises(ValidationError):
-        prior_sensitivity_curve(cells, priors=[1.5])
+    path = tmp_path / "prior_curve.csv"
+    triage.save_prior_curve_csv(str(path), cells, [0.0, 0.5, 1.0])
+    rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 3 * len(cells)
+    for cell, (lo, mid, hi) in zip(cells, zip(*[iter(rows)] * 3)):
+        assert [lo[0], mid[0], hi[0]] == [0.0, 0.5, 1.0]
+        for row in (lo, mid, hi):
+            assert row[1:3] == [float("%.6f" % cell.lower), float("%.6f" % cell.upper)]
+            assert row[4] == float("%.9f" % cell.eer)  # EER does not depend on the prior
+        assert (lo[3], hi[3]) == (float("%.9f" % cell.nontarget_rate),
+                                  float("%.9f" % cell.target_rate))
+        assert mid[3] == float("%.9f" % cell.trigger_rate)
+        assert mid[3] == pytest.approx(0.5 * (lo[3] + hi[3]), abs=1e-9)
 
 
 def test_triage_beats_td_alone_on_trained_scores(scored_trials):
