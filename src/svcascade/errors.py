@@ -60,21 +60,21 @@ def read_text(path: str) -> str:
 def write_atomic(path: str, binary: bool = False):
     """A file opened at path + ".partial" (its directory made if missing), as
     bytes or as UTF-8 text without newline translation, and renamed to `path`
-    when the block ends.  If the block raises, that file is removed and `path`
-    kept; an OSError outside the block is a ValidationError naming `path`."""
+    when the block ends.  What the block raises passes through, that file removed
+    and `path` kept; any other OSError is a ValidationError naming `path`."""
     partial = path + ".partial"
+    in_block = False
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        f = open(partial, "wb") if binary else open(partial, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from None
-    try:
-        with f:
+        with (open(partial, "wb") if binary else open(partial, "w", encoding="utf-8", newline="")) as f:
+            in_block = True
             yield f
-        try:
-            os.replace(partial, path)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {path}: {exc}") from None
+            in_block = False
+        os.replace(partial, path)
+    except OSError as exc:
+        if in_block:
+            raise
+        raise ValidationError(f"cannot write {path}: {exc}") from None
     finally:
         if os.path.exists(partial):
             os.remove(partial)

@@ -38,7 +38,7 @@ GRID_END_GAP = 5e-7  # half the last of the 6 decimals the sweep files write
 
 def sweep_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """lo + step * i for i = 0, 1, ... while below hi - GRID_END_GAP, then hi."""
-    values = lo + step * np.arange(int(np.floor((hi - lo) / step + 1e-9)) + 1)
+    values = lo + step * np.arange(max(int(np.ceil((hi - GRID_END_GAP - lo) / step)), 0) + 1)
     return np.append(values[values < hi - GRID_END_GAP], hi)
 
 

@@ -132,16 +132,16 @@ BAND_GRID_MAX_VALUES = 1001  # about 500k sweep_bands cells; capped before alloc
 
 
 def band_grid(grid_min: float, grid_max: float, step: float) -> np.ndarray:
-    if step <= 0:
+    if not step > 0:
         raise ValidationError(f"band grid step must be positive, got {step}")
-    if not -1.0 <= grid_min < grid_max <= 1.0:
-        raise ValidationError(f"band grid needs -1 <= min < max <= 1, got [{grid_min}, {grid_max}]")
-    # too many values iff sweep_grid would keep its value at i = BAND_GRID_MAX_VALUES - 1
+    if not (-1.0 <= grid_min < grid_max - GRID_END_GAP and grid_max <= 1.0):  # keeps grid_min
+        raise ValidationError(f"band grid needs -1 <= min < max - {GRID_END_GAP:g} and max <= 1, "
+                              f"got [{grid_min}, {grid_max}]")
+    # too many values iff sweep_grid would keep (and so allocate) i = BAND_GRID_MAX_VALUES - 1
     if grid_min + step * (BAND_GRID_MAX_VALUES - 1) < grid_max - GRID_END_GAP:
-        raise ValidationError(
-            f"band grid step {step} over [{grid_min}, {grid_max}] gives more than "
-            f"{BAND_GRID_MAX_VALUES} values; use a step of at least "
-            f"{(grid_max - grid_min) / (BAND_GRID_MAX_VALUES - 1):g}")
+        raise ValidationError(f"band grid step {step} over [{grid_min}, {grid_max}] gives more than "
+                              f"{BAND_GRID_MAX_VALUES} values; use a step of at least "
+                              f"{(grid_max - grid_min) / (BAND_GRID_MAX_VALUES - 1):g}")
     return sweep_grid(grid_min, grid_max, step)
 
 

@@ -160,6 +160,10 @@ def test_cost_durations_must_be_positive(tmp_path):
     pytest.param("triage.lower", "-2", None, "triage.lower", id="band-below-minus-one"),
     pytest.param("triage.band_min", "-1.5", None, "triage.band_*", id="band-grid-below-minus-one"),
     pytest.param("triage.band_step", "1e-300", None, "triage.band_*", id="band-step-too-fine"),
+    pytest.param({"triage.band_min": "0.5", "triage.band_max": "0.5000001",
+                  "triage.band_step": "1e-300"}, None, None,
+                 "config triage.band_*: band grid needs -1 <= min < max - 5e-07",
+                 id="band-range-within-the-grid-end-gap"),
     pytest.param("fusion.grid_step", "1e-6", None, "fusion.grid_step",
                  id="alpha-grid-finer-than-the-sweep-file"),
     pytest.param("triage.priors", "0,1.5", None, "triage.priors", id="prior-above-one"),
@@ -181,7 +185,7 @@ def test_cost_durations_must_be_positive(tmp_path):
                  id="override-below-enrollment-and-batch"),
 ])
 def test_rejected_at_parse_time(tmp_path, capsys, key, value, seed, named):
-    overrides = {} if key is None else {key: value}
+    overrides = key if isinstance(key, dict) else {} if key is None else {key: value}
     cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path), **overrides)
     assert cli.run("gen-data", str(cfg_path), seed) == 1
     err = capsys.readouterr().err

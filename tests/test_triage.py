@@ -1,11 +1,13 @@
+import errno
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svcascade import triage
+from svcascade import errors, triage
 from svcascade.errors import ValidationError
 from svcascade.fusion import FusionWeight, sweep_fusion_weight
 from svcascade.metrics import compute_eer
@@ -226,6 +228,10 @@ def test_band_grid_value_bound():
     for step in (0.0019, 1e-5, 1e-300, 5e-324):
         with pytest.raises(ValidationError, match="more than 1001 values; use a step of at least 0.002"):
             band_grid(-1.0, 1.0, step)
+    # no wider than the grid end gap: sweep_grid would drop 0.5, and the parent
+    # asked np.arange for ~1e293 values here
+    with pytest.raises(ValidationError, match="min < max - 5e-07"):
+        band_grid(0.5, 0.5000001, 1e-300)
 
 
 def test_final_scores_match_manual_mixing(scored_trials):
@@ -281,4 +287,35 @@ def test_interrupted_text_save_keeps_previous_artifact(tmp_path):
     with pytest.raises(AttributeError):  # the writer fails at the third row
         triage.save_heatmap_csv(str(path), cells[:2] + [None] + cells[2:])
     assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["heatmap.csv"]
+
+
+def test_failed_close_is_named_and_keeps_previous_artifact(tmp_path, monkeypatch):
+    """A write that fails only as the file is closed (a full disk at the last
+    flush) is a ValidationError naming the artifact, and leaves no .partial."""
+    path = tmp_path / "heatmap.csv"
+    path.write_text("before\n")
+
+    class FullOnClose:
+        def __init__(self, f):
+            self.f = f
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.close()
+
+        def close(self):
+            self.f.close()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(errors, "open", lambda *a, **k: FullOnClose(open(*a, **k)), raising=False)
+    cells = triage.sweep_bands(interleaved_scores(0), -1.0, 1.0, 0.5, FusionWeight(0.5))
+    with pytest.raises(ValidationError, match=re.escape(f"cannot write {path}: ") + ".*No space"):
+        triage.save_heatmap_csv(str(path), cells)
+    assert path.read_text() == "before\n"
     assert os.listdir(tmp_path) == ["heatmap.csv"]
