@@ -15,7 +15,7 @@ import sys
 
 from . import dvector, errors, fusion, ge2e, metrics, scoring, synthcorpus, triage
 from .config import ExperimentConfig, parse_config
-from .errors import DependencyError, ToolError
+from .errors import DependencyError, ToolError, ValidationError
 from .fusion import FusionWeight
 
 
@@ -58,8 +58,12 @@ def _remove(directory: str, *names: str) -> None:
     """Removes artifacts about to be replaced, so that a run cut short
     leaves them missing rather than mixed with an older run's."""
     for path in (os.path.join(directory, name) for name in names):
-        if os.path.exists(path):
+        try:
             os.remove(path)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise ValidationError(f"cannot replace {path}: {exc}") from None
 
 
 def cmd_gen_data(cfg: ExperimentConfig) -> None:
@@ -137,12 +141,9 @@ def cmd_triage_apply(cfg: ExperimentConfig) -> None:
 
 
 def cmd_eval(cfg: ExperimentConfig) -> None:
-    scores = _load_scores(cfg)
-    results = [(system, metrics.compute_eer(column[scores.labels], column[~scores.labels]))
-               for system, column in (("td", scores.td), ("ti", scores.ti)) if column is not None]
     errors.write_table(os.path.join(cfg.report_dir, "eval.csv"), (
         (system, "%.2f" % (100.0 * r.eer), "%.9f" % r.eer_threshold, str(r.num_targets),
-         str(r.num_nontargets)) for system, r in results),
+         str(r.num_nontargets)) for system, r in metrics.system_eers(_load_scores(cfg)).items()),
         header=("system", "eer_percent", "threshold", "targets", "nontargets"), sep=",")
 
 

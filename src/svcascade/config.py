@@ -6,8 +6,9 @@ Each value is parsed once, by its schema parser, into the type the stages
 use.  Range rules that a stage owns (spec shapes, training settings, the
 fusion and band grids, the triage band) are checked at parse time by
 building that stage's own types and grids, and the corpus shape that trial
-splitting and training batches need is checked against the corpus spec, so
-a config that parses is one every stage accepts.
+splitting and training batches need is checked by the capacity checks of
+`synthcorpus` and `ge2e`, the ones `split_trials` and `train` make, so a
+config that parses is one every stage accepts.
 """
 
 from __future__ import annotations
@@ -15,12 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from . import errors
-from .dvector import NetworkSpec
+from . import dvector, errors, ge2e, synthcorpus
 from .errors import ValidationError
 from .fusion import FusionWeight, alpha_grid
-from .ge2e import TrainConfig
-from .synthcorpus import CorpusSpec
 from .triage import TriagePolicy, band_grid
 
 
@@ -166,11 +164,11 @@ class ExperimentConfig:
     checkpoint_dir: str
     score_dir: str
     report_dir: str
-    corpus_spec: CorpusSpec
-    td_network: NetworkSpec
-    ti_network: NetworkSpec
-    td_train: TrainConfig
-    ti_train: TrainConfig
+    corpus_spec: synthcorpus.CorpusSpec
+    td_network: dvector.NetworkSpec
+    ti_network: dvector.NetworkSpec
+    td_train: ge2e.TrainConfig
+    ti_train: ge2e.TrainConfig
     trial_targets: int
     trial_nontargets: int
     enroll_per_speaker: int
@@ -213,34 +211,11 @@ def _read_flat_file(path: str) -> dict[str, str]:
 
 
 def _check(what: str, make, *args, **kwargs):
-    """`make(*args, **kwargs)`, a stage's type or grid, naming the config keys it refuses."""
+    """`make(*args, **kwargs)`, a stage's type, grid or check, naming the config keys it refuses."""
     try:
         return make(*args, **kwargs)
     except ValidationError as exc:
         raise ValidationError(f"config {what}: {exc}") from None
-
-
-def _check_capacity(spec: CorpusSpec, enroll: int, trains: dict[str, TrainConfig],
-                    xeval_languages: list[int]) -> None:
-    """The corpus shape that `split_trials` (gen-data) and `ge2e.train`
-    (train, xeval) need, so no stage fails on a corpus an earlier one wrote."""
-    speakers = spec.speakers_per_language
-    if speakers < 2:
-        raise ValidationError(f"config corpus.speakers_per_language={speakers}: "
-                              "nontarget trials need >= 2 speakers per language")
-    for lang in range(spec.languages):
-        utts = spec.utterances_for(lang)
-        shape = (f"language {lang} has {speakers} speakers of {utts} utterances (corpus."
-                 "speakers_per_language, corpus.utterances_per_speaker, corpus.overrides)")
-        if utts <= enroll:
-            raise ValidationError(f"config trials.enroll_per_speaker={enroll}: {shape}; "
-                                  f"enrollment plus a test utterance needs {enroll + 1}")
-        for system, train in trains.items():
-            if (lang in train.languages or lang in xeval_languages) and (
-                    speakers < train.batch_n or utts < train.batch_m):
-                raise ValidationError(
-                    f"config train.{system}.batch_n/batch_m: {shape}; a batch needs "
-                    f"{train.batch_n} speakers of {train.batch_m} utterances")
 
 
 def parse_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
@@ -270,11 +245,12 @@ def parse_config(path: str, seed_override: int | None = None) -> ExperimentConfi
         return _check(section, cls, **{f.name: values[f"{section}.{f.name}"] for f in fields(cls)
                                        if f.name not in named}, **named)
 
-    corpus_spec = build(CorpusSpec, "corpus", utterance_overrides=values["corpus.overrides"])
+    corpus_spec = build(synthcorpus.CorpusSpec, "corpus",
+                        utterance_overrides=values["corpus.overrides"])
     languages = corpus_spec.languages
-    networks = {s: build(NetworkSpec, f"network.{s}", input_dim=corpus_spec.feature_dim)
+    networks = {s: build(dvector.NetworkSpec, f"network.{s}", input_dim=corpus_spec.feature_dim)
                 for s in ("td", "ti")}
-    trains = {s: build(TrainConfig, f"train.{s}", language_weights=(
+    trains = {s: build(ge2e.TrainConfig, f"train.{s}", language_weights=(
                   values[f"train.{s}.language_weights"] or dict.fromkeys(range(languages), 1.0)))
               for s in ("td", "ti")}
     xeval_languages = values["xeval.languages"] or list(range(languages))
@@ -286,7 +262,13 @@ def parse_config(path: str, seed_override: int | None = None) -> ExperimentConfi
         bad = [lang for lang in ids if not 0 <= lang < languages]
         if bad:
             raise ValidationError(f"config {key}: languages {bad} not in [0, {languages})")
-    _check_capacity(corpus_spec, values["trials.enroll_per_speaker"], trains, xeval_languages)
+    shape = "corpus.speakers_per_language, corpus.utterances_per_speaker, corpus.overrides"
+    for lang in range(languages):  # gen-data splits each language on its own
+        _check(f"trials.enroll_per_speaker, {shape}", synthcorpus.check_capacity, corpus_spec,
+               values["trials.nontargets"], values["trials.enroll_per_speaker"], [lang])
+    for s, train in trains.items():  # xeval trains a model on each of its languages
+        _check(f"train.{s}.batch_n/batch_m, {shape}", ge2e.check_capacity, corpus_spec, train,
+               sorted({*train.languages, *xeval_languages}))
     _check("fusion.grid_step", alpha_grid, values["fusion.grid_step"])
     _check("triage.band_*", band_grid,
            values["triage.band_min"], values["triage.band_max"], values["triage.band_step"])

@@ -34,6 +34,7 @@ class FusionSweepResult:
 
 
 GRID_END_GAP = 5e-7  # half the last of the 6 decimals the sweep files write
+MIN_GRID_STEP = 1e-5  # ten units of that last decimal, so grid values write apart
 
 
 def sweep_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -44,9 +45,14 @@ def sweep_grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 def alpha_grid(grid_step: float) -> list[float]:
     """sweep_grid(0, 1, grid_step): 0, grid_step, ... then 1."""
-    if not (1e-5 <= grid_step <= 0.5):
-        raise ValidationError(f"grid step must be in [1e-05, 0.5], got {grid_step}")
+    if not (MIN_GRID_STEP <= grid_step <= 0.5):
+        raise ValidationError(f"grid step must be in [{MIN_GRID_STEP:g}, 0.5], got {grid_step}")
     return sweep_grid(0.0, 1.0, grid_step).tolist()
+
+
+def fuse(alpha: float, td, ti):
+    """The fused score alpha * td + (1 - alpha) * ti, for scalars or arrays."""
+    return alpha * td + (1.0 - alpha) * ti
 
 
 def sweep_fusion_weight(scores: ScoreTable, grid_step: float = 0.01) -> FusionSweepResult:
@@ -54,7 +60,7 @@ def sweep_fusion_weight(scores: ScoreTable, grid_step: float = 0.01) -> FusionSw
     n_tar, td, ti = scores.fusable("fusion sweep")
     table = []
     for alpha in alpha_grid(grid_step):
-        fused = alpha * td + (1.0 - alpha) * ti
+        fused = fuse(alpha, td, ti)
         table.append((alpha, compute_eer(fused[:n_tar], fused[n_tar:]).eer))
     return FusionSweepResult.of(table)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dvector, errors
 from .errors import CapacityError, NumericError, ValidationError
-from .synthcorpus import Corpus
+from .synthcorpus import Corpus, CorpusSpec
 
 SEGMENT_KEYWORD = "keyword"
 SEGMENT_KEYWORD_QUERY = "keyword+query"
@@ -194,6 +194,15 @@ def segment_frames(utts, segment: str) -> np.ndarray:
     return np.asarray(seqs, dtype=np.float64)
 
 
+def check_capacity(spec: CorpusSpec, cfg: TrainConfig, languages) -> None:
+    """Refuses, as a CapacityError, batches of `cfg` on `languages` that a `spec` corpus lacks."""
+    for lang in languages:
+        if spec.utterances_for(lang) < cfg.batch_m or spec.speakers_per_language < cfg.batch_n:
+            raise CapacityError(f"language {lang} has {spec.speakers_per_language} speakers of "
+                                f"{spec.utterances_for(lang)} utterances; batches need "
+                                f"{cfg.batch_n} speakers of {cfg.batch_m} utterances")
+
+
 def train(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
           segment: str) -> tuple[dvector.Parameters, list[tuple[int, float, int]]]:
     """SGD with global-norm clipping over language-sampled GE2E batches.
@@ -208,18 +217,10 @@ def train(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
             f"network input_dim {spec.input_dim} != corpus feature_dim "
             f"{corpus.spec.feature_dim}")
 
-    by_speaker = corpus.by_speaker()
-    by_language: dict[int, list[list]] = {}
-    for sid, utts in by_speaker.items():
-        if len(utts) >= cfg.batch_m:
-            by_language.setdefault(utts[0].language_id, []).append(utts)
     langs = cfg.languages
-    for lang in langs:
-        available = len(by_language.get(lang, []))
-        if available < cfg.batch_n:
-            raise CapacityError(
-                f"language {lang} supplies {available} speakers with >= {cfg.batch_m} "
-                f"utterances; batches need {cfg.batch_n}")
+    check_capacity(corpus.spec, cfg, langs)
+    per_speaker = corpus.by_speaker().values()
+    by_language = {lang: [us for us in per_speaker if us[0].language_id == lang] for lang in langs}
     weights = np.array([cfg.language_weights[l] for l in langs], dtype=float)
     weights = weights / weights.sum()
 

@@ -78,6 +78,12 @@ def compute_eer(target_scores, nontarget_scores) -> EvalResult:
                       num_targets=int(tar.size), num_nontargets=int(non.size))
 
 
+def system_eers(scores) -> dict[str, EvalResult]:
+    """compute_eer of the "td" and the "ti" column of a `scoring.ScoreTable`."""
+    return {system: compute_eer(column[scores.labels], column[~scores.labels])
+            for system, column in (("td", scores.td), ("ti", scores.ti))}
+
+
 @dataclass(frozen=True)
 class MatrixCell:
     model_name: str
@@ -104,10 +110,7 @@ def cross_eval_matrix(models, eval_sets, scorer) -> list[MatrixCell]:
                 scores = scorer(td_params, ti_params, corpus, trials)
             except Exception as exc:
                 raise type(exc)(f"cell (model={name}, eval_lang={eval_lang}): {exc}") from exc
-            labels = scores.labels
-            for system, langs, column in (("td", td_langs, scores.td),
-                                          ("ti", ti_langs, scores.ti)):
-                result = compute_eer(column[labels], column[~labels])
+            for (system, result), langs in zip(system_eers(scores).items(), (td_langs, ti_langs)):
                 cells.append(MatrixCell(
                     model_name=name, train_language=tuple(langs), system=system,
                     eval_language=eval_lang, result=result,

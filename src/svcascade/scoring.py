@@ -21,18 +21,15 @@ NORM_TOLERANCE = 1e-4
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Scored trials as columns; row i is trial i in trial order.  `ti` is
-    None when no TI model scored the trials."""
+    """Scored trials as columns; row i is trial i in trial order."""
     speakers: list[str]  # enrollment speaker ids
     utterances: list[str]  # test utterance ids
     labels: np.ndarray  # bool, True for target trials
     td: np.ndarray
-    ti: np.ndarray | None = None
+    ti: np.ndarray
 
     def fusable(self, what: str) -> tuple[int, np.ndarray, np.ndarray]:
         """(target count, td, ti), target rows first: each class is a slice."""
-        if self.ti is None:
-            raise ValidationError(f"{what} needs a TI score on every trial")
         if not self.labels.any() or self.labels.all():
             raise ValidationError(f"{what} needs both target and nontarget trials")
         order = np.argsort(~self.labels, kind="stable")
@@ -97,59 +94,50 @@ def system_scores(params: dvector.Parameters, segment: str, corpus: Corpus,
     return np.einsum("ij,ij->i", enrolled, tests)
 
 
-def score_trials(td_params: dvector.Parameters, ti_params: dvector.Parameters | None,
+def score_trials(td_params: dvector.Parameters, ti_params: dvector.Parameters,
                  corpus: Corpus, trials: list[Trial]) -> ScoreTable:
-    """Scores every trial: TD on the keyword, TI on keyword + query; TI
-    scores are omitted when ti_params is None."""
+    """Scores every trial: TD on the keyword, TI on keyword + query."""
     return ScoreTable(
         speakers=[t.enroll_speaker_id for t in trials],
         utterances=[t.test_utterance_id for t in trials],
         labels=np.array([t.is_target for t in trials], dtype=bool),
         td=system_scores(td_params, ge2e.SEGMENT_KEYWORD, corpus, trials),
-        ti=None if ti_params is None else system_scores(
-            ti_params, ge2e.SEGMENT_KEYWORD_QUERY, corpus, trials))
+        ti=system_scores(ti_params, ge2e.SEGMENT_KEYWORD_QUERY, corpus, trials))
 
 
 def save_scores(path: str, scores: ScoreTable) -> None:
     """TSV: enroll_speaker, test_utt, label, td_score, ti_score with fixed
     9-decimal formatting for bit-reproducible reports."""
-    ti = (["NA"] * len(scores.td) if scores.ti is None
-          else ["%.9f" % s for s in scores.ti.tolist()])
     errors.write_table(path, zip(
         scores.speakers, scores.utterances, ["tgt" if t else "non" for t in scores.labels.tolist()],
-        ["%.9f" % s for s in scores.td.tolist()], ti))
+        ["%.9f" % s for s in scores.td.tolist()], ["%.9f" % s for s in scores.ti.tolist()]))
 
 
-def _score_columns(labels: list[str], td: list[str], ti: list[str], has_ti: bool) -> tuple:
-    """Target flags, td and ti (or None) of some lines' columns, checked as one line is."""
+def _score_columns(labels: list[str], td: list[str], ti: list[str]) -> tuple:
+    """Target flags, td and ti of some lines' columns, checked as one line is."""
     if labels.count("tgt") + labels.count("non") < len(labels):
         raise ValidationError("malformed score line")
     try:
-        td_col = np.fromiter(map(float, td), np.float64)
-        ti_col = None if ti.count("NA") == len(ti) else np.fromiter(map(float, ti), np.float64)
+        td_col, ti_col = (np.fromiter(map(float, column), np.float64) for column in (td, ti))
     except ValueError:
         raise ValidationError("non-numeric score") from None
-    if (ti_col is not None) != has_ti:
-        raise ValidationError("TI score must be NA on every line or on none")
-    if not (np.isfinite(td_col).all() and (ti_col is None or np.isfinite(ti_col).all())):
+    if not (np.isfinite(td_col).all() and np.isfinite(ti_col).all()):
         raise ValidationError("non-finite score")
     # every label is "tgt" or "non", so every third character is its first
     return np.frombuffer("".join(labels)[::3].encode(), "S1") == b"t", td_col, ti_col
 
 
 def load_scores(path: str) -> ScoreTable:
-    """Reads save_scores' TSV; scores must be finite, and the TI column
-    must be NA on every line or on none, as it is on the first."""
-    speakers, utterances, has_ti = [], [], None
+    """Reads save_scores' TSV; both scores of every line must be finite numbers."""
+    speakers, utterances = [], []
     labels, td, ti = [np.zeros(0, bool)], [np.zeros(0)], [np.zeros(0)]
     for numbers, (spk, utt, *scored) in errors.read_table(path, 5):
-        has_ti = scored[2][0] != "NA" if has_ti is None else has_ti
         try:
-            block = _score_columns(*scored, has_ti)
+            block = _score_columns(*scored)
         except ValidationError:  # the first bad line, checked on its own, names the error
             for i, lineno in enumerate(numbers):
                 try:
-                    _score_columns(*(column[i:i + 1] for column in scored), has_ti)
+                    _score_columns(*(column[i:i + 1] for column in scored))
                 except ValidationError as exc:
                     raise ValidationError(f"{path}:{lineno}: {exc}") from None
             raise
@@ -158,4 +146,4 @@ def load_scores(path: str) -> ScoreTable:
         for column, part in zip((labels, td, ti), block):
             column.append(part)
     return ScoreTable(speakers=speakers, utterances=utterances, labels=np.concatenate(labels),
-                      td=np.concatenate(td), ti=np.concatenate(ti) if has_ti else None)
+                      td=np.concatenate(td), ti=np.concatenate(ti))

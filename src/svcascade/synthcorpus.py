@@ -60,6 +60,8 @@ class CorpusSpec:
                 raise ValidationError(f"corpus spec: override count for language {lang} must be >= 1")
 
     def utterances_for(self, language: int) -> int:
+        if not 0 <= language < self.languages:
+            raise CapacityError(f"corpus has no language {language}, only 0-{self.languages - 1}")
         return self.utterance_overrides.get(language, self.utterances_per_speaker)
 
 
@@ -161,6 +163,21 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     return Corpus(spec=spec, utterances=utterances, voice_vectors=voices)
 
 
+def check_capacity(spec: CorpusSpec, nontarget_trials: int, enroll: int,
+                   languages: list[int]) -> None:
+    """Refuses, as a CapacityError, the split_trials call that a corpus of `spec` cannot serve."""
+    for lang in languages:
+        if spec.utterances_for(lang) <= enroll:
+            raise CapacityError(f"language {lang} has {spec.speakers_per_language} speakers of "
+                                f"{spec.utterances_for(lang)} utterances, but enrollment of "
+                                f"{enroll} plus at least one test utterance needs {enroll + 1}")
+    if not languages:
+        raise CapacityError("trials need at least one language")
+    if nontarget_trials > 0 and len(languages) * spec.speakers_per_language < 2:
+        raise CapacityError(f"nontarget trials need >= 2 speakers, but languages {languages} "
+                            f"have {len(languages) * spec.speakers_per_language}")
+
+
 def split_trials(corpus: Corpus, target_trials: int, nontarget_trials: int,
                  enroll_utterances_per_speaker: int, seed: int,
                  languages: list[int] | None = None) -> list[Trial]:
@@ -170,28 +187,12 @@ def split_trials(corpus: Corpus, target_trials: int, nontarget_trials: int,
     test utterances uniformly at random (with replacement across trials).
     Restricting `languages` keeps both sides of every trial inside that set.
     """
-    if target_trials < 0 or nontarget_trials < 0:
-        raise ValidationError("trial counts must be nonnegative")
-    if enroll_utterances_per_speaker < 1:
-        raise ValidationError("enroll_utterances_per_speaker must be >= 1")
-
-    by_speaker = corpus.by_speaker()
-    if languages is not None:
-        allowed = set(languages)
-        by_speaker = {s: us for s, us in by_speaker.items() if us[0].language_id in allowed}
-
-    need = enroll_utterances_per_speaker + 1
-    short = {s: len(us) for s, us in by_speaker.items() if len(us) < need}
-    if short:
-        worst = min(short, key=short.get)
-        raise CapacityError(
-            f"speaker {worst} has {short[worst]} utterances but enrollment of "
-            f"{enroll_utterances_per_speaker} plus at least one test utterance needs {need}")
+    if min(target_trials, nontarget_trials) < 0 or enroll_utterances_per_speaker < 1:
+        raise ValidationError("trial counts must be >= 0 and enrollment sets >= 1 utterance")
+    languages = list(range(corpus.spec.languages)) if languages is None else languages
+    check_capacity(corpus.spec, nontarget_trials, enroll_utterances_per_speaker, languages)
+    by_speaker = {s: us for s, us in corpus.by_speaker().items() if us[0].language_id in languages}
     speakers = sorted(by_speaker)
-    if not speakers:
-        raise CapacityError("corpus supplies no speakers for the requested languages")
-    if nontarget_trials > 0 and len(speakers) < 2:
-        raise CapacityError(f"nontarget trials need >= 2 speakers, corpus has {len(speakers)}")
 
     rng = np.random.default_rng(seed)
     enroll: dict[str, tuple[str, ...]] = {}
@@ -252,9 +253,7 @@ def load_corpus(directory: str) -> Corpus:
                           utterance_overrides=dict(overrides.tolist()))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    # override languages are distinct and in range once the spec is built
-    count = spec.speakers_per_language * (sum(spec.utterance_overrides.values()) + (
-        spec.languages - len(spec.utterance_overrides)) * spec.utterances_per_speaker)
+    count = spec.speakers_per_language * sum(map(spec.utterances_for, range(spec.languages)))
     for kind, frames in (("keyword", spec.keyword_frames), ("query", spec.query_frames)):
         arr, shape = arrays[kind], (count, frames, spec.feature_dim)
         if arr.dtype != np.dtype("<f4") or arr.shape != shape or not np.isfinite(arr).all():

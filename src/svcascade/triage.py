@@ -20,7 +20,7 @@ import numpy as np
 
 from . import errors
 from .errors import ValidationError
-from .fusion import GRID_END_GAP, FusionWeight, sweep_grid
+from .fusion import GRID_END_GAP, MIN_GRID_STEP, FusionWeight, fuse, sweep_grid
 from .metrics import compute_eer, far_frr_from_counts, interpolate_eer
 from .scoring import ScoreTable
 
@@ -83,15 +83,9 @@ def triage_decide(td_score: float, policy: TriagePolicy) -> Decision:
 
 def apply_triage(scores: ScoreTable, policy: TriagePolicy) -> tuple[np.ndarray, np.ndarray]:
     """(final, triggered): final is the fused score on triggered trials and
-    the TD score elsewhere.  TI scores are needed only where a trial triggers."""
+    the TD score elsewhere."""
     triggered = in_band(scores.td, policy.lower, policy.upper)
-    if scores.ti is None:
-        if triggered.any():
-            first = scores.utterances[int(np.argmax(triggered))]
-            raise ValidationError(f"trial {first} triggers but has no TI score")
-        fused = scores.td
-    else:
-        fused = policy.alpha.alpha * scores.td + (1.0 - policy.alpha.alpha) * scores.ti
+    fused = fuse(policy.alpha.alpha, scores.td, scores.ti)
     return np.where(triggered, fused, scores.td), triggered
 
 
@@ -132,8 +126,6 @@ BAND_GRID_MAX_VALUES = 1001  # about 500k sweep_bands cells; capped before alloc
 
 
 def band_grid(grid_min: float, grid_max: float, step: float) -> np.ndarray:
-    if not step > 0:
-        raise ValidationError(f"band grid step must be positive, got {step}")
     if not (-1.0 <= grid_min < grid_max - GRID_END_GAP and grid_max <= 1.0):  # keeps grid_min
         raise ValidationError(f"band grid needs -1 <= min < max - {GRID_END_GAP:g} and max <= 1, "
                               f"got [{grid_min}, {grid_max}]")
@@ -142,6 +134,8 @@ def band_grid(grid_min: float, grid_max: float, step: float) -> np.ndarray:
         raise ValidationError(f"band grid step {step} over [{grid_min}, {grid_max}] gives more than "
                               f"{BAND_GRID_MAX_VALUES} values; use a step of at least "
                               f"{(grid_max - grid_min) / (BAND_GRID_MAX_VALUES - 1):g}")
+    if not step >= MIN_GRID_STEP:  # after the cap, which names the step a wide range needs
+        raise ValidationError(f"band grid step must be at least {MIN_GRID_STEP:g}, got {step}")
     return sweep_grid(grid_min, grid_max, step)
 
 
@@ -248,7 +242,7 @@ def sweep_bands(scores: ScoreTable, grid_min: float, grid_max: float,
     scores below each candidate threshold, bisected for all cells at once."""
     values = band_grid(grid_min, grid_max, step)
     n_tar, td, ti = scores.fusable("band sweep")
-    fused = alpha.alpha * td + (1.0 - alpha.alpha) * ti
+    fused = fuse(alpha.alpha, td, ti)
     if not (np.all(np.isfinite(td)) and np.all(np.isfinite(fused))):
         raise ValidationError("scores must be finite")
     td_eer = compute_eer(td[:n_tar], td[n_tar:]).eer

@@ -93,6 +93,14 @@ def test_desk_cfg_spells_out_the_defaults(tmp_path):
     assert parse_config(desk) == parse_config(str(path))
 
 
+@pytest.mark.parametrize("rel", ["configs/desk.cfg", "perfbench/inputs/desk.cfg",
+                                 "perfbench/inputs/wide.cfg"])
+def test_checked_in_configs_parse(rel):
+    """The benchmark runs its inputs as they are, so a config-key change
+    that breaks one of them must fail here first."""
+    parse_config(os.path.join(os.path.dirname(__file__), os.pardir, rel))
+
+
 def test_seed_override_shifts_all_seeds(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("")
@@ -183,6 +191,8 @@ def test_cost_durations_must_be_positive(tmp_path):
                  id="enrollment-leaves-no-test-utterance"),
     pytest.param("corpus.overrides", "1:2", None, "corpus.overrides",
                  id="override-below-enrollment-and-batch"),
+    pytest.param("corpus.speakers_per_language", "1", None, "corpus.speakers_per_language",
+                 id="one-speaker-has-no-nontargets"),
 ])
 def test_rejected_at_parse_time(tmp_path, capsys, key, value, seed, named):
     overrides = key if isinstance(key, dict) else {} if key is None else {key: value}
@@ -311,6 +321,8 @@ def _add_member(path):
                  "eval", "scores.tsv:2", id="scores-non-numeric"),
     pytest.param("scores/scores.tsv", "s0\tu0\ttgt\t0.9\t0.8\ns0\tu1\tnon\t0.1\tNA\n",
                  "eval", "scores.tsv:2", id="scores-partial-na"),
+    pytest.param("scores/scores.tsv", "s0\tu0\ttgt\t0.9\tNA\ns0\tu1\tnon\t0.1\tNA\n",
+                 "eval", "scores.tsv:1: non-numeric score", id="scores-all-na"),
     pytest.param("scores/scores.tsv", "s0\tu0\ttgt\tnan\t0.8\ns0\tu1\tnon\t0.1\t0.2\n",
                  "eval", "scores.tsv:1", id="scores-non-finite"),
     pytest.param("reports/fusion_sweep.csv", "alpha,eer\n0.0,0.1\n1.0\n",
@@ -404,6 +416,9 @@ def test_bad_artifact_names_file_and_line(tmp_path, capsys, rel, text, command, 
                  "cannot write {}/reports/fusion_sweep.csv", id="sweep-csv-is-a-directory"),
     pytest.param("eval", lambda d: (d / "scores" / "scores.tsv").mkdir(parents=True),
                  "cannot read {}/scores/scores.tsv", id="scores-tsv-is-a-directory"),
+    pytest.param("train", lambda d: (cli.run("gen-data", str(d / "exp.cfg")),
+                                     (d / "checkpoints" / "td.ckpt").mkdir(parents=True)),
+                 "cannot replace {}/checkpoints/td.ckpt", id="checkpoint-is-a-directory"),
 ])
 def test_unusable_artifact_path_is_named(tmp_path, capsys, command, make_unusable, where):
     cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path))

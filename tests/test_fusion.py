@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from svcascade.errors import ValidationError
 from svcascade.fusion import alpha_grid, load_sweep_csv, save_sweep_csv, sweep_fusion_weight
 from svcascade.metrics import compute_eer
-from svcascade.scoring import ScoreTable
 
 from conftest import interleaved_scores, make_scores
 
@@ -109,10 +108,6 @@ def test_sweep_requires_both_labels_and_ti():
     only_tgt = make_scores([0.9], [0.9], [], [])
     with pytest.raises(ValidationError):
         sweep_fusion_weight(only_tgt)
-    missing_ti = ScoreTable(["s0", "s0"], ["t0", "n0"], np.array([True, False]),
-                            np.array([0.9, 0.1]), None)
-    with pytest.raises(ValidationError):
-        sweep_fusion_weight(missing_ti)
 
 
 @settings(max_examples=25, deadline=None)

@@ -185,6 +185,12 @@ def test_train_capacity_error(small_corpus):
         train(small_corpus, dvector.TD_SMALL, cfg, SEGMENT_KEYWORD)
 
 
+def test_train_refuses_a_language_the_corpus_lacks(small_corpus):
+    cfg = TrainConfig(batch_n=2, batch_m=2, steps=5, language_weights={9: 1}, seed=0)
+    with pytest.raises(CapacityError, match="corpus has no language 9"):
+        train(small_corpus, dvector.TD_SMALL, cfg, SEGMENT_KEYWORD)
+
+
 def test_train_config_validation():
     with pytest.raises(ValidationError):
         TrainConfig(batch_n=1, language_weights={0: 1.0})

@@ -92,12 +92,6 @@ def test_score_trials_order_and_labels(small_corpus, trained_models, scored_tria
         assert np.all((-1.0 <= column) & (column <= 1.0))
 
 
-def test_score_trials_ti_optional(small_corpus, trained_models):
-    trials = split_trials(small_corpus, 20, 20, 3, seed=13)
-    scores = score_trials(trained_models["td"], None, small_corpus, trials)
-    assert scores.ti is None and scores.td.shape == (len(trials),)
-
-
 def test_score_trials_matches_per_utterance_reference(small_corpus, trained_models,
                                                       scored_trials):
     """Batched scores equal B = 1 embeddings, enrollment averaging and
@@ -159,15 +153,6 @@ def test_scores_tsv_roundtrip(tmp_path, scored_trials):
         assert loaded.ti == pytest.approx(scored_trials.ti, abs=1e-9)
 
 
-def test_scores_tsv_na_for_missing_ti(tmp_path, small_corpus, trained_models):
-    trials = split_trials(small_corpus, 5, 5, 3, seed=17)
-    scores = score_trials(trained_models["td"], None, small_corpus, trials)
-    path = tmp_path / "scores.tsv"
-    save_scores(str(path), scores)
-    assert all(line.endswith("\tNA") for line in path.read_text().splitlines())
-    assert load_scores(str(path)).ti is None
-
-
 def test_load_scores_rejects_malformed(tmp_path):
     path = tmp_path / "bad.tsv"
     for text, where in (("a\tb\tmaybe\t0.5\t0.5\n", "bad.tsv:1: malformed score line"),
@@ -192,14 +177,10 @@ def _per_line_load_scores(path):
             raise ValidationError(f"{path}:{lineno}: malformed score line")
         try:
             td.append(float(parts[3]))
-            if parts[4] != "NA":
-                ti.append(float(parts[4]))
+            ti.append(float(parts[4]))  # "NA" too is not a number
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: non-numeric score") from None
-        if len(ti) not in (0, len(td)):
-            raise ValidationError(
-                f"{path}:{lineno}: TI score must be NA on every line or on none")
-        if not (math.isfinite(td[-1]) and (not ti or math.isfinite(ti[-1]))):
+        if not (math.isfinite(td[-1]) and math.isfinite(ti[-1])):
             raise ValidationError(f"{path}:{lineno}: non-finite score")
         speakers.append(parts[0])
         utterances.append(parts[1])
@@ -207,7 +188,7 @@ def _per_line_load_scores(path):
     return scoring.ScoreTable(speakers=speakers, utterances=utterances,
                               labels=np.array(labels, dtype=bool),
                               td=np.array(td, dtype=np.float64),
-                              ti=np.array(ti, dtype=np.float64) if ti else None)
+                              ti=np.array(ti, dtype=np.float64))
 
 
 _SCORE = st.floats(-1.0, 1.0).map("%.9f".__mod__)
@@ -221,14 +202,13 @@ def _score_files(draw):
     def field(good, bad):
         return draw(bad if draw(st.integers(0, 12)) == 0 else good)
 
-    ti_na = draw(st.booleans())
     lines = []
     for _ in range(draw(st.integers(0, 12))):
         if draw(st.integers(0, 9)) == 0:
             lines.append("")
         row = [draw(st.sampled_from(["s0", "s1"])), draw(st.sampled_from(["u0", "u1", "u2"])),
                field(st.sampled_from(["tgt", "non"]), st.sampled_from(["maybe", "", "Tgt"])),
-               field(_SCORE, _BAD_SCORE), field(st.just("NA") if ti_na else _SCORE, _BAD_SCORE)]
+               field(_SCORE, _BAD_SCORE), field(_SCORE, _BAD_SCORE)]
         if draw(st.integers(0, 30)) == 0:
             row = row[:-1] if draw(st.booleans()) else row + ["0.5"]
         lines.append("\t".join(row))
@@ -238,7 +218,7 @@ def _score_files(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_score_files(), st.integers(1, 3))
-@example("s0\tu0\ttgt\t0.5\tNA\ns0\tu1\tnon\t0.1\tnan\n", 1)  # mixed NA before non-finite
+@example("s0\tu0\ttgt\t0.5\tNA\ns0\tu1\tnon\t0.1\tnan\n", 1)  # NA before non-finite
 @example("s0\tu0\ttgt\t0.5\t0.2\ns0\tu1\tnon\tinf\tNA\n", 2)
 def test_load_scores_matches_per_line_reference(tmp_path_factory, text, block):
     """Blocks of 1-3 lines put an error in any block, not only the first."""
@@ -260,6 +240,4 @@ def test_load_scores_matches_per_line_reference(tmp_path_factory, text, block):
     assert (got.speakers, got.utterances) == (expected.speakers, expected.utterances)
     for name in ("labels", "td", "ti"):
         want, have = getattr(expected, name), getattr(got, name)
-        assert (have is None) == (want is None), name
-        if want is not None:
-            assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), name
+        assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), name

@@ -112,6 +112,24 @@ def test_capacity_error_names_shortfall():
         split_trials(corpus, 10, 10, 4, seed=0)  # 4 enroll + 1 test > 4 utts
 
 
+def test_split_refuses_a_language_the_corpus_lacks():
+    corpus = generate_corpus(small_spec())
+    for languages, message in (([9], "corpus has no language 9"),
+                               ([0, -1], "corpus has no language -1"),
+                               ([], "at least one language")):
+        with pytest.raises(CapacityError, match=message):
+            split_trials(corpus, 10, 10, 2, seed=0, languages=languages)
+
+
+def test_split_needs_two_speakers_for_nontargets():
+    corpus = generate_corpus(small_spec(speakers_per_language=1))
+    with pytest.raises(CapacityError, match="nontarget trials need >= 2 speakers"):
+        split_trials(corpus, 10, 10, 2, seed=0, languages=[0])
+    # targets alone need one speaker, and both languages pooled hold two
+    assert len(split_trials(corpus, 10, 0, 2, seed=0, languages=[0])) == 10
+    assert len(split_trials(corpus, 10, 10, 2, seed=0)) == 20
+
+
 def test_corpus_roundtrip_bytes(tmp_path):
     corpus = generate_corpus(small_spec(utterance_overrides={1: 2}))
     d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -11,7 +11,6 @@ from svcascade import errors, triage
 from svcascade.errors import ValidationError
 from svcascade.fusion import FusionWeight, sweep_fusion_weight
 from svcascade.metrics import compute_eer
-from svcascade.scoring import ScoreTable
 from svcascade.triage import (
     CostModel, Decision, TriagePolicy, apply_triage, band_grid, in_band, sweep_bands,
     triage_decide, trigger_rate)
@@ -69,16 +68,6 @@ def test_apply_full_band_always_triggers():
     final, triggered = apply_triage(scores, policy)
     assert triggered.all()
     assert final == pytest.approx(0.3 * scores.td + 0.7 * scores.ti)
-
-
-def test_apply_requires_ti_only_when_triggered():
-    def td_only(td):
-        return ScoreTable(["s0"], ["t0"], np.array([True]), np.array([td]), None)
-
-    final, triggered = apply_triage(td_only(0.9), POLICY)
-    assert not triggered.any() and final.tolist() == [0.9]
-    with pytest.raises(ValidationError, match="t0 triggers but has no TI score"):
-        apply_triage(td_only(0.4), POLICY)
 
 
 def test_trigger_rate_prior_arithmetic():
@@ -232,6 +221,11 @@ def test_band_grid_value_bound():
     # asked np.arange for ~1e293 values here
     with pytest.raises(ValidationError, match="min < max - 5e-07"):
         band_grid(0.5, 0.5000001, 1e-300)
+    # a narrow range passes the cap, but a step this fine would write hundreds
+    # of 0.500000 rows: the floor the alpha grid has too refuses it
+    with pytest.raises(ValidationError, match="band grid step must be at least 1e-05"):
+        band_grid(0.5, 0.5000005000001, 1e-16)
+    assert band_grid(0.5, 0.5000005000001, 1e-5).tolist() == [0.5, 0.5000005000001]
 
 
 def test_final_scores_match_manual_mixing(scored_trials):
