@@ -106,7 +106,7 @@ def _load_scores(cfg: ExperimentConfig) -> scoring.ScoreTable:
 
 
 def cmd_fuse_sweep(cfg: ExperimentConfig) -> None:
-    result = fusion.sweep_fusion_weight(_load_scores(cfg), cfg.fusion_grid_step)
+    result = fusion.sweep_fusion_weight(_load_scores(cfg), cfg.alphas)
     fusion.save_sweep_csv(os.path.join(cfg.report_dir, "fusion_sweep.csv"), result)
 
 
@@ -123,7 +123,8 @@ def _resolve_alpha(cfg: ExperimentConfig) -> FusionWeight:
 def cmd_triage_sweep(cfg: ExperimentConfig) -> None:
     scores = _load_scores(cfg)
     alpha = _resolve_alpha(cfg)
-    cells = triage.sweep_bands(scores, cfg.band_min, cfg.band_max, cfg.band_step, alpha)
+    _remove(cfg.report_dir, "heatmap.csv", "frontier.csv", "prior_curve.csv")
+    cells = triage.sweep_bands(scores, cfg.bands, alpha)
     triage.save_heatmap_csv(os.path.join(cfg.report_dir, "heatmap.csv"), cells)
     triage.save_heatmap_csv(os.path.join(cfg.report_dir, "frontier.csv"),
                             triage.pareto_frontier(cells))
@@ -157,6 +158,8 @@ def cmd_xeval(cfg: ExperimentConfig) -> None:
         _require(_trials_path(cfg, lang), "gen-data"), corpus)) for lang in langs]
     td_pooled = _load_checkpoint(cfg, "td", cfg.td_network)
     ti_pooled = _load_checkpoint(cfg, "ti", cfg.ti_network)
+    _remove(cfg.checkpoint_dir, *(f"{s}_mono{lang}.ckpt" for lang in langs for s in ("td", "ti")))
+    _remove(cfg.report_dir, "xeval_matrix.csv")
     td = ge2e.train_per_language(corpus, cfg.td_network, cfg.td_train, ge2e.SEGMENT_KEYWORD,
                                  {lang: cfg.td_train.seed + 1000 + lang for lang in langs})
     ti = ge2e.train_per_language(corpus, cfg.ti_network, cfg.ti_train,
@@ -178,14 +181,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         _require(os.path.join(cfg.report_dir, "heatmap.csv"), "triage-sweep"))
     # the sweep's alpha = 1 and alpha = 0 rows fuse TD and TI alone, exactly
     td_eer, ti_eer = sweep.table[-1][1], sweep.table[0][1]
-
-    kw = cfg.corpus_spec.keyword_frames
-    total = kw + cfg.corpus_spec.query_frames
-    cost = triage.CostModel(
-        keyword_seconds=cfg.keyword_seconds, query_seconds=cfg.query_seconds,
-        td_flops=dvector.flops_per_utterance(cfg.td_network, kw),
-        ti_flops=dvector.flops_per_utterance(cfg.ti_network, total))
-    seconds, flops = cost.expected(rate)
+    seconds, flops = cfg.cost.expected(rate)
 
     lines = [
         "eer_td=%.9f" % td_eer,

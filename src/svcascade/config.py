@@ -4,11 +4,12 @@ numbers), and documented defaults for every key.
 
 Each value is parsed once, by its schema parser, into the type the stages
 use.  Range rules that a stage owns (spec shapes, training settings, the
-fusion and band grids, the triage band) are checked at parse time by
-building that stage's own types and grids, and the corpus shape that trial
-splitting and training batches need is checked by the capacity checks of
-`synthcorpus` and `ge2e`, the ones `split_trials` and `train` make, so a
-config that parses is one every stage accepts.
+fusion and band grids, the triage band, the cost model) are checked at
+parse time by building that stage's own types and grids, which the config
+then hands to the stages, and the corpus shape that trial splitting and
+training batches need is checked by the capacity checks of `synthcorpus`
+and `ge2e`, the ones `split_trials` and `train` make, so a config that
+parses is one every stage accepts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, fields
 from . import dvector, errors, ge2e, synthcorpus
 from .errors import ValidationError
 from .fusion import FusionWeight, alpha_grid
-from .triage import TriagePolicy, band_grid
+from .triage import CostModel, TriagePolicy, band_grid
 
 
 def _count(v: str) -> int:
@@ -40,13 +41,6 @@ def _real(v: str) -> float:
     x = float(v)
     if not math.isfinite(x):
         raise ValueError("must be a finite number")
-    return x
-
-
-def _positive(v: str) -> float:
-    x = _real(v)
-    if not x > 0:
-        raise ValueError("must be > 0")
     return x
 
 
@@ -151,14 +145,14 @@ SCHEMA: dict[str, tuple] = {
     "triage.band_step": (_real, "0.02"),
     "triage.priors": (_priors, "0,0.5,1"),
 
-    "cost.keyword_seconds": (_positive, "0.7"),
-    "cost.query_seconds": (_positive, "3.0"),
+    "cost.keyword_seconds": (_real, "0.7"),
+    "cost.query_seconds": (_real, "3.0"),
 
     "xeval.languages": (_ids, ""),  # comma list of language ids; empty = all
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     corpus_dir: str
     checkpoint_dir: str
@@ -173,17 +167,22 @@ class ExperimentConfig:
     trial_nontargets: int
     enroll_per_speaker: int
     trial_seed: int
-    fusion_grid_step: float
+    alphas: list[float]  # the fusion sweep's alpha grid
     triage_lower: float
     triage_upper: float
     fixed_alpha: FusionWeight | None  # None: alpha comes from the fusion sweep
-    band_min: float
-    band_max: float
-    band_step: float
+    bands: tuple[float, ...]  # the band sweep's grid
     priors: list[float]
-    keyword_seconds: float
-    query_seconds: float
+    cost: CostModel
     xeval_languages: list[int]
+
+    @property
+    def keyword_seconds(self) -> float:
+        return self.cost.keyword_seconds
+
+    @property
+    def query_seconds(self) -> float:
+        return self.cost.query_seconds
 
 
 def _read_flat_file(path: str) -> dict[str, str]:
@@ -269,11 +268,16 @@ def parse_config(path: str, seed_override: int | None = None) -> ExperimentConfi
     for s, train in trains.items():  # xeval trains a model on each of its languages
         _check(f"train.{s}.batch_n/batch_m, {shape}", ge2e.check_capacity, corpus_spec, train,
                sorted({*train.languages, *xeval_languages}))
-    _check("fusion.grid_step", alpha_grid, values["fusion.grid_step"])
-    _check("triage.band_*", band_grid,
-           values["triage.band_min"], values["triage.band_max"], values["triage.band_step"])
+    alphas = _check("fusion.grid_step", alpha_grid, values["fusion.grid_step"])
+    bands = _check("triage.band_*", band_grid,
+                   values["triage.band_min"], values["triage.band_max"], values["triage.band_step"])
     # a swept alpha lies on the [0, 1] grid, so any weight stands in for it here
     _check("triage.lower/upper", TriagePolicy, lower, upper, alpha or FusionWeight(0.0))
+    kw = corpus_spec.keyword_frames
+    cost = _check("cost.keyword_seconds, cost.query_seconds", CostModel,
+                  values["cost.keyword_seconds"], values["cost.query_seconds"],
+                  dvector.flops_per_utterance(networks["td"], kw),
+                  dvector.flops_per_utterance(networks["ti"], kw + corpus_spec.query_frames))
 
     return ExperimentConfig(
         corpus_dir=values["paths.corpus_dir"],
@@ -289,15 +293,12 @@ def parse_config(path: str, seed_override: int | None = None) -> ExperimentConfi
         trial_nontargets=values["trials.nontargets"],
         enroll_per_speaker=values["trials.enroll_per_speaker"],
         trial_seed=values["trials.seed"],
-        fusion_grid_step=values["fusion.grid_step"],
+        alphas=alphas,
         triage_lower=lower,
         triage_upper=upper,
         fixed_alpha=alpha,
-        band_min=values["triage.band_min"],
-        band_max=values["triage.band_max"],
-        band_step=values["triage.band_step"],
+        bands=tuple(bands.tolist()),
         priors=values["triage.priors"],
-        keyword_seconds=values["cost.keyword_seconds"],
-        query_seconds=values["cost.query_seconds"],
+        cost=cost,
         xeval_languages=xeval_languages,
     )

@@ -39,6 +39,9 @@ MIN_GRID_STEP = 1e-5  # ten units of that last decimal, so grid values write apa
 
 def sweep_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """lo + step * i for i = 0, 1, ... while below hi - GRID_END_GAP, then hi."""
+    for name, x in (("lo", lo), ("hi", hi), ("step", step)):
+        if not np.isfinite(x):
+            raise ValidationError(f"grid {name} must be finite, got {x}")
     values = lo + step * np.arange(max(int(np.ceil((hi - GRID_END_GAP - lo) / step)), 0) + 1)
     return np.append(values[values < hi - GRID_END_GAP], hi)
 
@@ -55,11 +58,11 @@ def fuse(alpha: float, td, ti):
     return alpha * td + (1.0 - alpha) * ti
 
 
-def sweep_fusion_weight(scores: ScoreTable, grid_step: float = 0.01) -> FusionSweepResult:
-    """EER at each alpha on the grid (endpoints always included)."""
+def sweep_fusion_weight(scores: ScoreTable, alphas: list[float]) -> FusionSweepResult:
+    """EER at each alpha of `alphas`, an `alpha_grid`."""
     n_tar, td, ti = scores.fusable("fusion sweep")
     table = []
-    for alpha in alpha_grid(grid_step):
+    for alpha in alphas:
         fused = fuse(alpha, td, ti)
         table.append((alpha, compute_eer(fused[:n_tar], fused[n_tar:]).eer))
     return FusionSweepResult.of(table)

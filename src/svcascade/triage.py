@@ -89,23 +89,6 @@ def apply_triage(scores: ScoreTable, policy: TriagePolicy) -> tuple[np.ndarray, 
     return np.where(triggered, fused, scores.td), triggered
 
 
-def trigger_rate(triggered: np.ndarray, labels: np.ndarray, prior: float) -> float:
-    """Prior-weighted trigger probability: p * (target trigger fraction)
-    + (1-p) * (nontarget trigger fraction)."""
-    if not (0.0 <= prior <= 1.0):
-        raise ValidationError(f"prior must be in [0, 1], got {prior}")
-    rate = 0.0
-    if prior > 0.0:
-        if not labels.any():
-            raise ValidationError("prior > 0 needs target trials in the set")
-        rate += prior * triggered[labels].mean()
-    if prior < 1.0:
-        if labels.all():
-            raise ValidationError("prior < 1 needs nontarget trials in the set")
-        rate += (1.0 - prior) * triggered[~labels].mean()
-    return float(rate)
-
-
 @dataclass(frozen=True)
 class BandCell:
     lower: float
@@ -232,15 +215,15 @@ def _band_eers(tar: _BandCounts, non: _BandCounts, candidates: np.ndarray,
     return eer
 
 
-def sweep_bands(scores: ScoreTable, grid_min: float, grid_max: float,
-                step: float, alpha: FusionWeight) -> list[BandCell]:
-    """One cell per (lower, upper) grid pair with lower <= upper: the EER on
-    the triaged final-score axis and the per-class trigger rates.
+def sweep_bands(scores: ScoreTable, values, alpha: FusionWeight) -> list[BandCell]:
+    """One cell per (lower, upper) pair of `values`, a `band_grid`, with
+    lower <= upper: the EER on the triaged final-score axis and the
+    per-class trigger rates.
 
     An empty band (lower == upper) triggers nothing, so its EER is the TD
     system's.  Every other cell's EER comes from per-class counts of final
     scores below each candidate threshold, bisected for all cells at once."""
-    values = band_grid(grid_min, grid_max, step)
+    values = np.asarray(values, dtype=float)
     n_tar, td, ti = scores.fusable("band sweep")
     fused = fuse(alpha.alpha, td, ti)
     if not (np.all(np.isfinite(td)) and np.all(np.isfinite(fused))):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from svcascade import cli, dvector, ge2e, triage
-from svcascade.fusion import FusionWeight, sweep_fusion_weight
+from svcascade.fusion import FusionWeight, alpha_grid, sweep_fusion_weight
 from svcascade.metrics import compute_eer
 
 from conftest import make_scores
@@ -121,11 +121,13 @@ def test_criterion_5_triage_degeneracies():
         for b_lo, b_hi in bands:
             lo, hi = min(lo, b_lo), max(hi, b_hi)
             nested.append((lo, hi))
+        cells = []
+        for lo, hi in nested:
+            triggered = triage.apply_triage(scored, triage.TriagePolicy(lo, hi, alpha))[1]
+            cells.append(triage.BandCell(lo, hi, 0.0, triggered[labels].mean(),
+                                         triggered[~labels].mean()))
         for prior in (0.0, float(rng.uniform(0, 1)), 1.0):
-            rates = [triage.trigger_rate(
-                triage.apply_triage(scored, triage.TriagePolicy(lo, hi, alpha))[1],
-                labels, prior)
-                for lo, hi in nested]
+            rates = [cell.rate_at(prior) for cell in cells]
             ok = ok and all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
     elapsed = time.time() - start
     report(f"triage degeneracy identities (50 sets, {elapsed:.1f}s)",
@@ -138,7 +140,7 @@ def test_criterion_6_fusion_dominance():
     ok = True
     for _ in range(50):
         scored = random_scored(rng, n=int(rng.integers(5, 80)))
-        result = sweep_fusion_weight(scored, grid_step=0.05)
+        result = sweep_fusion_weight(scored, alpha_grid(0.05))
         table = dict(result.table)
         ok = ok and result.eer_at_alpha_star <= min(table[0.0], table[1.0]) + 1e-12
     elapsed = time.time() - start
@@ -168,8 +170,8 @@ def test_criterion_7_multilingual_generalization(multilingual_runs):
 def test_criterion_8_triage_efficiency(scored_trials):
     td, labels = scored_trials.td, scored_trials.labels
     td_eer = compute_eer(td[labels], td[~labels]).eer
-    alpha = FusionWeight(sweep_fusion_weight(scored_trials, 0.01).alpha_star)
-    cells = triage.sweep_bands(scored_trials, -1.0, 1.0, 0.05, alpha)
+    alpha = FusionWeight(sweep_fusion_weight(scored_trials, alpha_grid(0.01)).alpha_star)
+    cells = triage.sweep_bands(scored_trials, triage.band_grid(-1.0, 1.0, 0.05), alpha)
     efficient = [c for c in cells if c.trigger_rate <= 0.5 and c.eer <= 0.9 * td_eer]
     best = min(cells, key=lambda c: (c.eer, c.trigger_rate))
     report(f"triage efficiency (td EER={td_eer:.4f}, best cell EER={best.eer:.4f} "

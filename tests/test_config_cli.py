@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from svcascade import cli, fusion, ge2e, scoring, synthcorpus
+from svcascade import cli, fusion, ge2e, metrics, scoring, synthcorpus, triage
 from svcascade.config import parse_config
 from svcascade.dvector import NetworkSpec
 from svcascade.errors import CapacityError, ValidationError
@@ -302,6 +302,35 @@ def test_interrupted_rerun_leaves_no_mixed_set(tmp_path, capsys, monkeypatch,
     assert f"run `svcascade {command}` first" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, module, name, removed", [
+    pytest.param("triage-sweep", triage, "pareto_frontier", ["frontier.csv", "prior_curve.csv"],
+                 id="triage-sweep-at-frontier"),
+    pytest.param("xeval", metrics, "cross_eval_matrix", ["xeval_matrix.csv"],
+                 id="xeval-at-matrix"),
+])
+def test_interrupted_rerun_removes_what_it_replaces(tmp_path, monkeypatch,
+                                                    command, module, name, removed):
+    """A rerun of `command` with a finer band grid and other training seeds,
+    cut short by a KeyboardInterrupt at module.name after it has written
+    some of its artifacts, leaves the `removed` ones of the earlier run
+    missing instead of beside the new ones."""
+    settings = {"train.td.steps": "20", "train.ti.steps": "20", "triage.alpha": "0.5"}
+    cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path), **settings)
+    for stage in ("gen-data", "train", "score", command):
+        assert cli.run(stage, str(cfg_path)) == 0
+    assert set(removed) <= set(os.listdir(tmp_path / "reports"))
+    rerun = write_config(tmp_path / "rerun.cfg", str(tmp_path), **settings, **{
+        "triage.band_step": "0.25", "train.td.seed": "7", "train.ti.seed": "8"})
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(module, name, interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.run(command, str(rerun))
+    assert not set(removed) & set(os.listdir(tmp_path / "reports"))
+
+
 GOOD_ARTIFACTS = {
     "scores/scores.tsv": "s0\tu0\ttgt\t0.9\t0.8\ns0\tu1\tnon\t0.1\t0.2\n",
     "reports/fusion_sweep.csv": "alpha,eer\n0.000000,0.0\n1.000000,0.5\n",
@@ -513,7 +542,7 @@ def test_report_eers_are_the_single_system_eers(pipeline, tmp_path, tie_heavy):
         for command in ("fuse-sweep", "triage-sweep", "report"):
             assert cli.run(command, cfg_path) == 0
     scores = scoring.load_scores(os.path.join(workdir, "scores/scores.tsv"))
-    sweep = fusion.sweep_fusion_weight(scores, parse_config(cfg_path).fusion_grid_step)
+    sweep = fusion.sweep_fusion_weight(scores, parse_config(cfg_path).alphas)
     with open(os.path.join(workdir, "reports/report.txt")) as f:
         fields = dict(line.split("=") for line in f.read().split())
     for key, column, row in (("eer_td", scores.td, -1), ("eer_ti", scores.ti, 0)):

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from svcascade import errors, triage
 from svcascade.errors import ValidationError
-from svcascade.fusion import FusionWeight, sweep_fusion_weight
+from svcascade.fusion import FusionWeight, alpha_grid, sweep_fusion_weight
 from svcascade.metrics import compute_eer
 from svcascade.triage import (
-    CostModel, Decision, TriagePolicy, apply_triage, band_grid, in_band, sweep_bands,
-    triage_decide, trigger_rate)
+    BandCell, CostModel, Decision, TriagePolicy, apply_triage, band_grid, in_band, sweep_bands,
+    triage_decide)
 
 from conftest import interleaved_scores, make_scores
 
@@ -74,22 +74,15 @@ def test_trigger_rate_prior_arithmetic():
     scores = make_scores([0.4, 0.9], [0.5, 0.5], [0.3, 0.5, 0.1, 0.05, 0.7],
                          [0.5] * 5)
     _, triggered = apply_triage(scores, POLICY)
+    labels = scores.labels
+    cell = BandCell(POLICY.lower, POLICY.upper, 0.0, triggered[labels].mean(),
+                    triggered[~labels].mean())
     # target fraction 1/2, nontarget fraction 2/5
-    assert trigger_rate(triggered, scores.labels, 1.0) == pytest.approx(0.5)
-    assert trigger_rate(triggered, scores.labels, 0.0) == pytest.approx(0.4)
-    assert trigger_rate(triggered, scores.labels, 0.5) == pytest.approx(0.45)
+    assert cell.rate_at(1.0) == pytest.approx(0.5)
+    assert cell.rate_at(0.0) == pytest.approx(0.4)
+    assert cell.rate_at(0.5) == pytest.approx(0.45)
     # the quoted hand case: fractions (0.5, 0.2) at prior 0.4 -> 0.32
     assert 0.4 * 0.5 + (1 - 0.4) * 0.2 == pytest.approx(0.32)
-
-
-def test_trigger_rate_validates():
-    scores = make_scores([0.4], [0.5], [], [])
-    _, triggered = apply_triage(scores, POLICY)
-    with pytest.raises(ValidationError):
-        trigger_rate(triggered, scores.labels, 0.5)  # no nontargets but prior < 1
-    assert trigger_rate(triggered, scores.labels, 1.0) == 1.0
-    with pytest.raises(ValidationError):
-        trigger_rate(triggered, scores.labels, 1.5)
 
 
 def test_expected_latency_hand_cases():
@@ -116,7 +109,7 @@ def random_scores(seed, n=60):
 def test_sweep_degenerate_cells_match_pure_systems():
     scores = random_scores(0)
     alpha = FusionWeight(0.5)
-    cells = {(c.lower, c.upper): c for c in sweep_bands(scores, -1.0, 1.0, 0.5, alpha)}
+    cells = {(c.lower, c.upper): c for c in sweep_bands(scores, band_grid(-1.0, 1.0, 0.5), alpha)}
     td, ti, labels = scores.td, scores.ti, scores.labels
     td_eer = compute_eer(td[labels], td[~labels]).eer
     fused = 0.5 * td + 0.5 * ti
@@ -143,7 +136,7 @@ def assert_cells_equal_per_cell_eer(scores, cells, alpha):
 
 def test_sweep_cells_equal_per_cell_eer():
     scores = interleaved_scores(0)
-    cells = sweep_bands(scores, -1.0, 1.0, 0.25, FusionWeight(0.3))
+    cells = sweep_bands(scores, band_grid(-1.0, 1.0, 0.25), FusionWeight(0.3))
     assert_cells_equal_per_cell_eer(scores, cells, 0.3)
     rates = {(c.lower, c.upper): (c.target_rate, c.nontarget_rate) for c in cells}
     assert rates[(0.0, 0.0)] == (0.0, 0.0)  # triggers no trial
@@ -164,16 +157,16 @@ def test_sweep_equals_per_cell_eer_on_tied_scores(seed, n_tar, n_non, alpha, ste
     td = rng.choice(pool, n_tar + n_non)
     ti = td.copy() if ti_is_td else rng.choice(pool, n_tar + n_non)
     scores = make_scores(td[:n_tar], ti[:n_tar], td[n_tar:], ti[n_tar:])
-    cells = sweep_bands(scores, -1.0, 1.0, step, FusionWeight(alpha))
+    cells = sweep_bands(scores, band_grid(-1.0, 1.0, step), FusionWeight(alpha))
     assert_cells_equal_per_cell_eer(scores, cells, alpha)
 
 
 def test_sweep_cells_do_not_depend_on_block_size(monkeypatch):
     scores = interleaved_scores(1)
-    cells = sweep_bands(scores, -1.0, 1.0, 0.25, FusionWeight(0.4))
+    cells = sweep_bands(scores, band_grid(-1.0, 1.0, 0.25), FusionWeight(0.4))
     # 45 cells in blocks of 4: the last block holds only the empty band (1, 1)
     monkeypatch.setattr(triage, "_CELL_BLOCK", 4)
-    assert sweep_bands(scores, -1.0, 1.0, 0.25, FusionWeight(0.4)) == cells
+    assert sweep_bands(scores, band_grid(-1.0, 1.0, 0.25), FusionWeight(0.4)) == cells
 
 
 @pytest.mark.parametrize("td, ti", [(np.nan, 0.5), (np.inf, 0.5), (0.5, np.nan),
@@ -181,12 +174,12 @@ def test_sweep_cells_do_not_depend_on_block_size(monkeypatch):
 def test_sweep_rejects_non_finite_scores(td, ti):
     scores = make_scores([0.9, td], [0.8, ti], [0.1, -0.3], [0.2, -0.1])
     with pytest.raises(ValidationError, match="scores must be finite"):
-        sweep_bands(scores, -1.0, 1.0, 0.5, FusionWeight(0.5))
+        sweep_bands(scores, band_grid(-1.0, 1.0, 0.5), FusionWeight(0.5))
 
 
 def test_sweep_nested_bands_have_monotone_rates():
     for seed in range(10):
-        cells = sweep_bands(random_scores(seed), -1.0, 1.0, 0.25, FusionWeight(0.4))
+        cells = sweep_bands(random_scores(seed), band_grid(-1.0, 1.0, 0.25), FusionWeight(0.4))
         by_band = {(round(c.lower, 6), round(c.upper, 6)): c.trigger_rate
                    for c in cells}
         for (lo1, up1), r1 in by_band.items():
@@ -196,7 +189,7 @@ def test_sweep_nested_bands_have_monotone_rates():
 
 
 def test_sweep_cell_count():
-    cells = sweep_bands(random_scores(1), -1.0, 1.0, 0.5, FusionWeight(0.5))
+    cells = sweep_bands(random_scores(1), band_grid(-1.0, 1.0, 0.5), FusionWeight(0.5))
     assert len(cells) == 5 * 6 // 2  # pairs with lower <= upper on a 5-point grid
 
 
@@ -238,7 +231,7 @@ def test_final_scores_match_manual_mixing(scored_trials):
 
 
 def test_prior_curve_rates_interpolate(tmp_path):
-    cells = sweep_bands(random_scores(2), -1.0, 1.0, 0.5, FusionWeight(0.5))
+    cells = sweep_bands(random_scores(2), band_grid(-1.0, 1.0, 0.5), FusionWeight(0.5))
     path = tmp_path / "prior_curve.csv"
     triage.save_prior_curve_csv(str(path), cells, [0.0, 0.5, 1.0])
     rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
@@ -255,9 +248,9 @@ def test_prior_curve_rates_interpolate(tmp_path):
 
 
 def test_triage_beats_td_alone_on_trained_scores(scored_trials):
-    sweep = sweep_fusion_weight(scored_trials, grid_step=0.01)
+    sweep = sweep_fusion_weight(scored_trials, alpha_grid(0.01))
     alpha = FusionWeight(sweep.alpha_star)
-    cells = sweep_bands(scored_trials, -1.0, 1.0, 0.1, alpha)
+    cells = sweep_bands(scored_trials, band_grid(-1.0, 1.0, 0.1), alpha)
     td, labels = scored_trials.td, scored_trials.labels
     base = compute_eer(td[labels], td[~labels]).eer
     best = min(cells, key=lambda c: (c.eer, c.trigger_rate))
@@ -275,7 +268,7 @@ def test_pareto_frontier_hand_case():
 
 def test_interrupted_text_save_keeps_previous_artifact(tmp_path):
     path = tmp_path / "heatmap.csv"
-    cells = triage.sweep_bands(interleaved_scores(0), -1.0, 1.0, 0.5, FusionWeight(0.5))
+    cells = triage.sweep_bands(interleaved_scores(0), band_grid(-1.0, 1.0, 0.5), FusionWeight(0.5))
     triage.save_heatmap_csv(str(path), cells)
     before = path.read_bytes()
     with pytest.raises(AttributeError):  # the writer fails at the third row
@@ -308,7 +301,7 @@ def test_failed_close_is_named_and_keeps_previous_artifact(tmp_path, monkeypatch
             raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(errors, "open", lambda *a, **k: FullOnClose(open(*a, **k)), raising=False)
-    cells = triage.sweep_bands(interleaved_scores(0), -1.0, 1.0, 0.5, FusionWeight(0.5))
+    cells = triage.sweep_bands(interleaved_scores(0), band_grid(-1.0, 1.0, 0.5), FusionWeight(0.5))
     with pytest.raises(ValidationError, match=re.escape(f"cannot write {path}: ") + ".*No space"):
         triage.save_heatmap_csv(str(path), cells)
     assert path.read_text() == "before\n"
