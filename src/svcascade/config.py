@@ -6,10 +6,10 @@ Each value is parsed once, by its schema parser, into the type the stages
 use.  Range rules that a stage owns (spec shapes, training settings, the
 fusion and band grids, the triage band, the cost model) are checked at
 parse time by building that stage's own types and grids, which the config
-then hands to the stages, and the corpus shape that trial splitting and
-training batches need is checked by the capacity checks of `synthcorpus`
-and `ge2e`, the ones `split_trials` and `train` make, so a config that
-parses is one every stage accepts.
+then hands to the stages.  The corpus shape that trial splitting and
+training batches need, and the embedding size that training needs, are
+checked by the checks of `synthcorpus` and `ge2e` that `split_trials` and
+`train` make, so a config that parses is one every stage accepts.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ class ExperimentConfig:
 def _read_flat_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        lines = errors.read_text(path).splitlines()
+        lines = errors.read_text(path).split("\n")  # not splitlines: a form feed ends no line
     except ValidationError as exc:
         if not isinstance(exc.__cause__, OSError):
             raise
@@ -266,8 +266,8 @@ def parse_config(path: str, seed_override: int | None = None) -> ExperimentConfi
         _check(f"trials.enroll_per_speaker, {shape}", synthcorpus.check_capacity, corpus_spec,
                values["trials.nontargets"], values["trials.enroll_per_speaker"], [lang])
     for s, train in trains.items():  # xeval trains a model on each of its languages
-        _check(f"train.{s}.batch_n/batch_m, {shape}", ge2e.check_capacity, corpus_spec, train,
-               sorted({*train.languages, *xeval_languages}))
+        _check(f"network.{s}.output_dim, train.{s}.batch_n/batch_m, {shape}", ge2e.check_capacity,
+               corpus_spec, networks[s], train, sorted({*train.languages, *xeval_languages}))
     alphas = _check("fusion.grid_step", alpha_grid, values["fusion.grid_step"])
     bands = _check("triage.band_*", band_grid,
                    values["triage.band_min"], values["triage.band_max"], values["triage.band_step"])

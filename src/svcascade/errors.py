@@ -50,7 +50,8 @@ def read_text(path: str) -> str:
             return f.read()
     except UnicodeDecodeError as e:
         # read() decodes the whole file at once, so e.object is all of it
-        line = len((e.object[:e.start].decode("utf-8") + "?").splitlines())
+        before = e.object[:e.start]  # lines end at universal newlines, not at a form feed
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
         raise ValidationError(f"{path}:{line}: not UTF-8 text") from None
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc

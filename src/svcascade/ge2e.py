@@ -182,20 +182,26 @@ def gradient_check(params: dvector.Parameters, batch_frames: np.ndarray,
     return max_rel
 
 
-def segment_frames(utts, segment: str) -> np.ndarray:
-    """(B, T, d) float64 frames of one segment of each utterance: the
-    keyword, or the keyword followed by the query."""
+def segment_frames(corpus: Corpus, rows, segment: str) -> np.ndarray:
+    """(B, T, d) float64 frames of one segment of each of the corpus's `rows`:
+    the keyword, or the keyword followed by the query."""
     if segment == SEGMENT_KEYWORD:
-        seqs = [u.keyword for u in utts]
-    elif segment == SEGMENT_KEYWORD_QUERY:
-        seqs = [np.concatenate([u.keyword, u.query], axis=0) for u in utts]
-    else:
-        raise ValidationError(f"unknown segment {segment!r}; use one of {SEGMENTS}")
-    return np.asarray(seqs, dtype=np.float64)
+        return corpus.keyword[rows].astype(np.float64)
+    if segment == SEGMENT_KEYWORD_QUERY:
+        return np.concatenate([corpus.keyword[rows], corpus.query[rows]], axis=1, dtype=np.float64)
+    raise ValidationError(f"unknown segment {segment!r}; use one of {SEGMENTS}")
 
 
-def check_capacity(spec: CorpusSpec, cfg: TrainConfig, languages) -> None:
-    """Refuses, as a CapacityError, batches of `cfg` on `languages` that a `spec` corpus lacks."""
+def check_capacity(spec: CorpusSpec, network: dvector.NetworkSpec, cfg: TrainConfig,
+                   languages) -> None:
+    """Refuses a `network` that `train` cannot fit to a `spec` corpus and, as a
+    CapacityError, batches of `cfg` on `languages` that the corpus lacks."""
+    if network.input_dim != spec.feature_dim:
+        raise ValidationError(
+            f"network input_dim {network.input_dim} != corpus feature_dim {spec.feature_dim}")
+    if network.output_dim < 2:  # a 1-d unit embedding is +-1, so centroids can cancel
+        raise ValidationError(f"network output_dim {network.output_dim}: a trained embedding "
+                              f"needs >= 2 dimensions for its cosine to rank speakers")
     for lang in languages:
         if spec.utterances_for(lang) < cfg.batch_m or spec.speakers_per_language < cfg.batch_n:
             raise CapacityError(f"language {lang} has {spec.speakers_per_language} speakers of "
@@ -212,15 +218,9 @@ def train(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
     replacement inside the batch.  Returns (parameters, loss trace), where
     the trace rows are (step, loss, language).
     """
-    if spec.input_dim != corpus.spec.feature_dim:
-        raise ValidationError(
-            f"network input_dim {spec.input_dim} != corpus feature_dim "
-            f"{corpus.spec.feature_dim}")
-
     langs = cfg.languages
-    check_capacity(corpus.spec, cfg, langs)
-    per_speaker = corpus.by_speaker().values()
-    by_language = {lang: [us for us in per_speaker if us[0].language_id == lang] for lang in langs}
+    check_capacity(corpus.spec, spec, cfg, langs)
+    by_language = {lang: list(corpus.speaker_rows([lang]).values()) for lang in langs}
     weights = np.array([cfg.language_weights[l] for l in langs], dtype=float)
     weights = weights / weights.sum()
 
@@ -231,12 +231,12 @@ def train(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
         lang = langs[int(rng.choice(len(langs), p=weights))]
         speakers = by_language[lang]
         spk_idx = rng.choice(len(speakers), size=cfg.batch_n, replace=False)
-        batch = []
+        rows = []
         for si in spk_idx:
             utts = speakers[int(si)]
             utt_idx = rng.choice(len(utts), size=cfg.batch_m, replace=False)
-            batch += [utts[int(ui)] for ui in utt_idx]
-        frames = segment_frames(batch, segment)
+            rows += [utts[int(ui)] for ui in utt_idx]
+        frames = segment_frames(corpus, rows, segment)
         frames = frames.reshape(cfg.batch_n, cfg.batch_m, *frames.shape[1:])
         loss, grads = backward(params, frames)
         norm = dvector.global_norm(grads)

@@ -75,9 +75,9 @@ def system_scores(params: dvector.Parameters, segment: str, corpus: Corpus,
     ids = sorted({u for t in trials for u in (*t.enroll_utterance_ids, t.test_utterance_id)})
     emb = np.zeros((len(ids), params.spec.output_dim))
     for start in range(0, len(ids), _SCORE_BATCH):
-        utts = [corpus.get(u) for u in ids[start:start + _SCORE_BATCH]]
-        emb[start:start + len(utts)] = dvector.forward_batch(
-            params, ge2e.segment_frames(utts, segment))[0]
+        rows = [corpus.row(u) for u in ids[start:start + _SCORE_BATCH]]
+        emb[start:start + len(rows)] = dvector.forward_batch(
+            params, ge2e.segment_frames(corpus, rows, segment))[0]
     norms = np.linalg.norm(emb, axis=1)
     if np.any(np.abs(norms - 1.0) > NORM_TOLERANCE):
         worst = norms[np.argmax(np.abs(norms - 1.0))]

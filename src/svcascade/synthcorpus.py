@@ -11,6 +11,10 @@ of a noise-free utterance is exactly the speaker voice vector.
 All randomness comes from numpy's PCG64 generator seeded explicitly; draw
 order is fixed (languages, then speakers, then utterances) so equal
 (spec, seed) reproduces equal bytes.
+
+A `Corpus` holds what `corpus.npz` holds: the spec, and the keyword and the
+query frames as two stacked float32 arrays with a row per utterance in draw
+order.  Ids follow from the spec; training, scoring and trials use rows.
 """
 
 from __future__ import annotations
@@ -64,36 +68,43 @@ class CorpusSpec:
             raise CapacityError(f"corpus has no language {language}, only 0-{self.languages - 1}")
         return self.utterance_overrides.get(language, self.utterances_per_speaker)
 
-
-@dataclass(frozen=True)
-class Utterance:
-    utterance_id: str
-    speaker_id: str
-    language_id: int
-    keyword: np.ndarray  # (keyword_frames, feature_dim) float32
-    query: np.ndarray  # (query_frames, feature_dim) float32
+    @property
+    def utterance_count(self) -> int:
+        """Utterances over all languages: a corpus's row count."""
+        return self.speakers_per_language * sum(map(self.utterances_for, range(self.languages)))
 
 
 @dataclass
 class Corpus:
+    """The frames of every utterance, a row each, in draw order (see the module docstring)."""
     spec: CorpusSpec
-    utterances: list[Utterance]
+    keyword: np.ndarray  # (utterances, keyword_frames, feature_dim) float32
+    query: np.ndarray  # (utterances, query_frames, feature_dim) float32
     # speaker_id -> raw voice vector; diagnostic only, not persisted
     voice_vectors: dict[str, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        self._by_id = {u.utterance_id: u for u in self.utterances}
+        speakers = self.speaker_rows(range(self.spec.languages))
+        # an utterance id is its speaker's id, then u and its index within the speaker
+        self.ids = [f"{sid}u{utt}" for sid, rows in speakers.items() for utt in range(len(rows))]
+        self.speaker_ids = [sid for sid, rows in speakers.items() for _ in rows]
+        self._rows = {uid: row for row, uid in enumerate(self.ids)}
 
-    def get(self, utterance_id: str) -> Utterance:
+    def row(self, utterance_id: str) -> int:
         try:
-            return self._by_id[utterance_id]
+            return self._rows[utterance_id]
         except KeyError:
             raise ValidationError(f"unknown utterance id {utterance_id!r}") from None
 
-    def by_speaker(self) -> dict[str, list[Utterance]]:
-        out: dict[str, list[Utterance]] = {}
-        for u in self.utterances:
-            out.setdefault(u.speaker_id, []).append(u)
+    def speaker_rows(self, languages) -> dict[str, range]:
+        """The rows of each speaker of `languages`, speakers in row order."""
+        out, start = {}, 0
+        for lang in range(self.spec.languages):
+            count = self.spec.utterances_for(lang)
+            for spk in range(self.spec.speakers_per_language):
+                if lang in languages:
+                    out[f"l{lang}s{spk}"] = range(start, start + count)
+                start += count
         return out
 
 
@@ -105,21 +116,13 @@ class Trial:
     is_target: bool
 
 
-def speaker_id(language: int, speaker: int) -> str:
-    return f"l{language}s{speaker}"
-
-
-def utterance_id(language: int, speaker: int, utterance: int) -> str:
-    return f"l{language}s{speaker}u{utterance}"
-
-
 def _segment(rng: np.random.Generator, voice: np.ndarray, frames: int, dim: int,
              cycles: np.ndarray, noise_scale: float) -> np.ndarray:
     phases = rng.uniform(0.0, 2.0 * np.pi, size=dim)
     t = np.arange(frames)[:, None]
     content = CONTENT_AMPLITUDE * np.sin(2.0 * np.pi * cycles[None, :] * t / frames + phases[None, :])
     noise = rng.standard_normal((frames, dim)) * noise_scale
-    return (voice[None, :] + content + noise).astype(np.float32)
+    return voice[None, :] + content + noise
 
 
 def _keyword_cycles(frames: int, dim: int) -> np.ndarray:
@@ -135,32 +138,23 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     kw_cycles = _keyword_cycles(spec.keyword_frames, dim)
     q_kmax = max(2, spec.query_frames // 2)
 
-    utterances: list[Utterance] = []
-    voices: dict[str, np.ndarray] = {}
+    corpus = Corpus(spec, np.empty((spec.utterance_count, spec.keyword_frames, dim), np.float32),
+                    np.empty((spec.utterance_count, spec.query_frames, dim), np.float32), {})
     for lang in range(spec.languages):
         shift = rng.standard_normal(dim) * spec.language_shift_scale
-        n_utts = spec.utterances_for(lang)
-        for spk in range(spec.speakers_per_language):
+        for sid, rows in corpus.speaker_rows([lang]).items():
             voice = shift + rng.standard_normal(dim) * spec.speaker_scale
-            sid = speaker_id(lang, spk)
-            voices[sid] = voice
-            for utt in range(n_utts):
-                keyword = _segment(rng, voice, spec.keyword_frames, dim,
-                                   kw_cycles, spec.utterance_noise_scale)
+            corpus.voice_vectors[sid] = voice
+            for row in rows:
+                corpus.keyword[row] = _segment(rng, voice, spec.keyword_frames, dim,
+                                               kw_cycles, spec.utterance_noise_scale)
                 q_cycles = rng.integers(1, q_kmax, size=dim).astype(float)
-                query = _segment(rng, voice, spec.query_frames, dim,
-                                 q_cycles, spec.utterance_noise_scale)
-                utterances.append(Utterance(
-                    utterance_id=utterance_id(lang, spk, utt),
-                    speaker_id=sid,
-                    language_id=lang,
-                    keyword=keyword,
-                    query=query,
-                ))
-    if not all(np.isfinite(u.keyword).all() and np.isfinite(u.query).all() for u in utterances):
+                corpus.query[row] = _segment(rng, voice, spec.query_frames, dim,
+                                             q_cycles, spec.utterance_noise_scale)
+    if not (np.isfinite(corpus.keyword).all() and np.isfinite(corpus.query).all()):
         scales = ", ".join(f"{name}={getattr(spec, name):g}" for name in _SCALE_FIELDS)
         raise NumericError(f"corpus spec: {scales} put frames beyond float32's range")
-    return Corpus(spec=spec, utterances=utterances, voice_vectors=voices)
+    return corpus
 
 
 def check_capacity(spec: CorpusSpec, nontarget_trials: int, enroll: int,
@@ -191,14 +185,14 @@ def split_trials(corpus: Corpus, target_trials: int, nontarget_trials: int,
         raise ValidationError("trial counts must be >= 0 and enrollment sets >= 1 utterance")
     languages = list(range(corpus.spec.languages)) if languages is None else languages
     check_capacity(corpus.spec, nontarget_trials, enroll_utterances_per_speaker, languages)
-    by_speaker = {s: us for s, us in corpus.by_speaker().items() if us[0].language_id in languages}
+    by_speaker = corpus.speaker_rows(languages)
     speakers = sorted(by_speaker)
 
     rng = np.random.default_rng(seed)
     enroll: dict[str, tuple[str, ...]] = {}
     test_pool: dict[str, list[str]] = {}
     for s in speakers:
-        ids = [u.utterance_id for u in by_speaker[s]]
+        ids = [corpus.ids[row] for row in by_speaker[s]]
         chosen = rng.choice(len(ids), size=enroll_utterances_per_speaker, replace=False)
         chosen_set = set(int(i) for i in chosen)
         enroll[s] = tuple(ids[i] for i in sorted(chosen_set))
@@ -227,14 +221,14 @@ CORPUS_FILE = "corpus.npz"
 
 def save_corpus(corpus: Corpus, directory: str) -> None:
     """One uncompressed npz: each spec field as a 0-d array, the overrides
-    as (language, count) rows, and the keyword and query frames stacked in
-    utterance order.  It is written under a temporary name and renamed, so
-    an interrupted run leaves no corpus file."""
+    as (language, count) rows, and the corpus's keyword and query arrays.
+    It is written under a temporary name and renamed, so an interrupted run
+    leaves no corpus file."""
     spec = corpus.spec
     arrays = {**asdict(spec), "utterance_overrides": np.array(
                   sorted(spec.utterance_overrides.items()), dtype=np.int64).reshape(-1, 2),
-              "keyword": np.stack([u.keyword for u in corpus.utterances], dtype="<f4"),
-              "query": np.stack([u.query for u in corpus.utterances], dtype="<f4")}
+              "keyword": corpus.keyword.astype("<f4", copy=False),
+              "query": corpus.query.astype("<f4", copy=False)}
     errors.write_npz(os.path.join(directory, CORPUS_FILE), arrays)
 
 
@@ -253,17 +247,12 @@ def load_corpus(directory: str) -> Corpus:
                           utterance_overrides=dict(overrides.tolist()))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    count = spec.speakers_per_language * sum(map(spec.utterances_for, range(spec.languages)))
     for kind, frames in (("keyword", spec.keyword_frames), ("query", spec.query_frames)):
-        arr, shape = arrays[kind], (count, frames, spec.feature_dim)
+        arr, shape = arrays[kind], (spec.utterance_count, frames, spec.feature_dim)
         if arr.dtype != np.dtype("<f4") or arr.shape != shape or not np.isfinite(arr).all():
             raise ValidationError(f"{path}: {kind} must be <f4 of shape {shape} with finite "
                                   f"values, got {arr.dtype.str} {arr.shape}")
-    keys = ((lang, spk, utt) for lang in range(spec.languages)
-            for spk in range(spec.speakers_per_language) for utt in range(spec.utterances_for(lang)))
-    return Corpus(spec=spec, utterances=[
-        Utterance(utterance_id(*key), speaker_id(*key[:2]), key[0], keyword, query)
-        for key, keyword, query in zip(keys, arrays["keyword"], arrays["query"])])
+    return Corpus(spec=spec, keyword=arrays["keyword"], query=arrays["query"])
 
 
 def save_trials(trials: list[Trial], path: str) -> None:
@@ -280,19 +269,19 @@ def load_trials(path: str, corpus: Corpus) -> list[Trial]:
             raise ValidationError(f"{path}:{lineno}: malformed trial line")
         trial = Trial(speaker, tuple(enroll_ids.split(",")), test_id, label == "tgt")
         try:
-            enroll = [corpus.get(uid) for uid in trial.enroll_utterance_ids]
-            test = corpus.get(trial.test_utterance_id)
+            enroll = [corpus.row(uid) for uid in trial.enroll_utterance_ids]
+            test_speaker = corpus.speaker_ids[corpus.row(trial.test_utterance_id)]
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        if any(u.speaker_id != trial.enroll_speaker_id for u in enroll):
+        if any(corpus.speaker_ids[row] != trial.enroll_speaker_id for row in enroll):
             raise ValidationError(
                 f"{path}:{lineno}: enrollment utterances must be from speaker {speaker}")
         if len(set(trial.enroll_utterance_ids)) != len(trial.enroll_utterance_ids):
             raise ValidationError(f"{path}:{lineno}: enrollment set names an utterance twice")
         if trial.test_utterance_id in trial.enroll_utterance_ids:
             raise ValidationError(f"{path}:{lineno}: test utterance is in its own enrollment set")
-        if (test.speaker_id == trial.enroll_speaker_id) != trial.is_target:
+        if (test_speaker == trial.enroll_speaker_id) != trial.is_target:
             raise ValidationError(
-                f"{path}:{lineno}: label {label} disagrees with test speaker {test.speaker_id}")
+                f"{path}:{lineno}: label {label} disagrees with test speaker {test_speaker}")
         trials.append(trial)
     return trials

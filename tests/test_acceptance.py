@@ -45,11 +45,10 @@ def test_criterion_2_latency_model():
 
 def test_criterion_3_gradient_correctness(small_corpus):
     start = time.time()
-    by_speaker = small_corpus.by_speaker()
-    speakers = sorted(by_speaker)[:3]
-    kw = np.stack([[u.keyword for u in by_speaker[s][:2]] for s in speakers])
-    both = np.stack([[np.concatenate([u.keyword, u.query]) for u in by_speaker[s][:2]]
-                     for s in speakers])
+    by_speaker = small_corpus.speaker_rows(range(small_corpus.spec.languages))
+    rows = [list(by_speaker[s][:2]) for s in sorted(by_speaker)[:3]]
+    kw = small_corpus.keyword[rows]
+    both = np.concatenate([kw, small_corpus.query[rows]], axis=2)
     errors = {}
     for name, spec, batch in (("td-small", dvector.TD_SMALL, kw),
                               ("ti-small", dvector.TI_SMALL, both)):

@@ -136,6 +136,20 @@ def test_unknown_key_reports_line_number(tmp_path):
             parse_config(str(path))
 
 
+@pytest.mark.parametrize("brk", ["\x0c", "\x85", "\u2028"],
+                         ids=["form-feed", "next-line", "line-separator"])
+def test_only_newlines_end_config_lines(tmp_path, brk):
+    """str.splitlines would also break a comment at these, and parse its tail."""
+    path = tmp_path / "c.cfg"
+    text = f"# note{brk} here\ncorpus.languages = 3\n"
+    path.write_text(text, encoding="utf-8")
+    assert parse_config(str(path)).corpus_spec.languages == 3
+    for tail, error in (("bad line\n", "expected key=value"), ("\udcff\n", "not UTF-8 text")):
+        path.write_bytes((text + tail).encode("utf-8", "surrogateescape"))
+        with pytest.raises(ValidationError, match=rf"c\.cfg:3: {error}$"):
+            parse_config(str(path))
+
+
 def test_duplicate_key_reports_line_number(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("corpus.seed = 1\n\ncorpus.seed = 2\n")
@@ -193,6 +207,10 @@ def test_cost_durations_must_be_positive(tmp_path):
                  id="override-below-enrollment-and-batch"),
     pytest.param("corpus.speakers_per_language", "1", None, "corpus.speakers_per_language",
                  id="one-speaker-has-no-nontargets"),
+    pytest.param({"network.td.projection_dim": "1", "network.td.output_dim": "1"}, None, None,
+                 "network.td.output_dim", id="td-one-dim-embedding"),
+    pytest.param({"network.ti.projection_dim": "1", "network.ti.output_dim": "1"}, None, None,
+                 "network.ti.output_dim", id="ti-one-dim-embedding"),
 ])
 def test_rejected_at_parse_time(tmp_path, capsys, key, value, seed, named):
     overrides = key if isinstance(key, dict) else {} if key is None else {key: value}

@@ -109,9 +109,9 @@ def test_batch_rows_match_single_sequences():
 
 
 def test_truncation_changes_embedding(small_corpus, trained_models):
-    utt = small_corpus.utterances[0]
-    full = forward_embedding(trained_models["td"], utt.keyword)
-    first = forward_embedding(trained_models["td"], utt.keyword[:1])
+    keyword = small_corpus.keyword[0]
+    full = forward_embedding(trained_models["td"], keyword)
+    first = forward_embedding(trained_models["td"], keyword[:1])
     assert not np.allclose(full, first)
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from svcascade import dvector, ge2e
 from svcascade.errors import CapacityError, ValidationError
 from svcascade.ge2e import (
-    SCALE_FLOOR, SEGMENT_KEYWORD, TrainConfig,
-    _loss_and_embedding_grads, gradient_check, train)
+    SCALE_FLOOR, SEGMENT_KEYWORD, SEGMENT_KEYWORD_QUERY, TrainConfig,
+    _loss_and_embedding_grads, gradient_check, segment_frames, train)
 
 
 def orthogonal_batch(n=2, m=3, d=4):
@@ -103,8 +103,21 @@ def test_permutation_equivariance(seed):
 
 
 def keyword_batch(corpus, n=3, m=2):
-    rows = [corpus.by_speaker()[s][:m] for s in sorted(corpus.by_speaker())[:n]]
-    return np.stack([[u.keyword for u in row] for row in rows])
+    by_speaker = corpus.speaker_rows(range(corpus.spec.languages))
+    return corpus.keyword[[list(by_speaker[s][:m]) for s in sorted(by_speaker)[:n]]]
+
+
+def test_segment_frames_matches_per_utterance_frames(small_corpus):
+    """Rows out of order and repeated, against the per-utterance definition:
+    each utterance's segment on its own, stacked and widened to float64."""
+    rows = [17, 3, 17, 0, 319, 3]
+    kw, query = small_corpus.keyword, small_corpus.query
+    for segment, frames in ((SEGMENT_KEYWORD, [kw[row] for row in rows]),
+                            (SEGMENT_KEYWORD_QUERY,
+                             [np.concatenate([kw[row], query[row]], axis=0) for row in rows])):
+        got = segment_frames(small_corpus, rows, segment)
+        assert got.dtype == np.float64 and got.shape == (6, len(frames[0]), 16)
+        assert np.array_equal(got, np.asarray(frames, dtype=np.float64))
 
 
 def test_gradient_check_fresh_init(small_corpus):
@@ -183,6 +196,14 @@ def test_train_capacity_error(small_corpus):
     cfg = TrainConfig(batch_n=50, batch_m=2, steps=5, language_weights={0: 1.0}, seed=0)
     with pytest.raises(CapacityError, match="language 0"):
         train(small_corpus, dvector.TD_SMALL, cfg, SEGMENT_KEYWORD)
+
+
+def test_train_refuses_a_one_dimensional_embedding(small_corpus):
+    """Unit embeddings of one dimension are +-1, so GE2E centroids cancel."""
+    spec = dvector.NetworkSpec(input_dim=16, num_layers=1, cells=4, projection_dim=1, output_dim=1)
+    cfg = TrainConfig(batch_n=2, batch_m=2, steps=5, language_weights={0: 1}, seed=0)
+    with pytest.raises(ValidationError, match="output_dim 1"):
+        train(small_corpus, spec, cfg, SEGMENT_KEYWORD)
 
 
 def test_train_refuses_a_language_the_corpus_lacks(small_corpus):

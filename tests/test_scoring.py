@@ -98,10 +98,11 @@ def test_score_trials_matches_per_utterance_reference(small_corpus, trained_mode
     cosine scoring trial by trial."""
     trials = split_trials(small_corpus, 200, 200, 3, seed=11)
     for column, params, segment in (
-            (scored_trials.td, trained_models["td"], lambda u: u.keyword),
-            (scored_trials.ti, trained_models["ti"], lambda u: np.concatenate([u.keyword, u.query]))):
+            (scored_trials.td, trained_models["td"], lambda row: small_corpus.keyword[row]),
+            (scored_trials.ti, trained_models["ti"],
+             lambda row: np.concatenate([small_corpus.keyword[row], small_corpus.query[row]]))):
         def embed(uid):
-            return dvector.forward_embedding(params, segment(small_corpus.get(uid)))
+            return dvector.forward_embedding(params, segment(small_corpus.row(uid)))
         expected = [cosine_score(aggregate_enrollment([embed(u) for u in t.enroll_utterance_ids]),
                                  embed(t.test_utterance_id)) for t in trials]
         np.testing.assert_allclose(column, expected, rtol=0, atol=1e-12)

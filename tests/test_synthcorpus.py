@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -19,29 +20,27 @@ def small_spec(**kwargs):
 def test_generation_is_deterministic():
     a = generate_corpus(small_spec())
     b = generate_corpus(small_spec())
-    assert [u.utterance_id for u in a.utterances] == [u.utterance_id for u in b.utterances]
-    for ua, ub in zip(a.utterances, b.utterances):
-        assert ua.keyword.tobytes() == ub.keyword.tobytes()
-        assert ua.query.tobytes() == ub.query.tobytes()
+    assert a.ids == b.ids
+    assert a.keyword.tobytes() == b.keyword.tobytes()
+    assert a.query.tobytes() == b.query.tobytes()
 
 
 def test_utterance_count_is_product_of_counts():
     corpus = generate_corpus(small_spec())
-    assert len(corpus.utterances) == 2 * 3 * 4
+    assert len(corpus.ids) == 2 * 3 * 4
 
 
 def test_segment_shapes():
     corpus = generate_corpus(small_spec())
-    for u in corpus.utterances:
-        assert u.keyword.shape == (8, 6)
-        assert u.query.shape == (12, 6)
+    assert corpus.keyword.shape == (24, 8, 6) and corpus.keyword.dtype == np.float32
+    assert corpus.query.shape == (24, 12, 6) and corpus.query.dtype == np.float32
 
 
 def test_noise_free_mean_frame_recovers_voice_vector():
     corpus = generate_corpus(small_spec(utterance_noise_scale=0.0))
-    by_speaker = corpus.by_speaker()
-    for sid, utts in by_speaker.items():
-        means = [u.keyword.mean(axis=0) for u in utts[:2]]
+    by_speaker = corpus.speaker_rows(range(2))
+    for sid, rows in by_speaker.items():
+        means = [corpus.keyword[row].mean(axis=0) for row in rows[:2]]
         cos = means[0] @ means[1] / (np.linalg.norm(means[0]) * np.linalg.norm(means[1]))
         assert cos == pytest.approx(1.0, abs=1e-6)
         # the sinusoid bank sums to zero over the segment
@@ -64,10 +63,11 @@ def test_voice_vector_separation():
 def test_utterance_overrides():
     spec = small_spec(utterance_overrides={1: 2})
     corpus = generate_corpus(spec)
-    by_speaker = corpus.by_speaker()
-    for sid, utts in by_speaker.items():
-        expected = 2 if utts[0].language_id == 1 else 4
-        assert len(utts) == expected
+    for lang, expected in ((0, 4), (1, 2)):
+        for sid, rows in corpus.speaker_rows([lang]).items():
+            assert len(rows) == expected
+            assert [corpus.ids[row] for row in rows] == [f"{sid}u{u}" for u in range(expected)]
+            assert {corpus.speaker_ids[row] for row in rows} == {sid}
 
 
 @pytest.mark.parametrize("bad", [
@@ -87,7 +87,7 @@ def test_split_trials_counts_and_labels():
     assert len(labels) - sum(labels) == 100
     for t in trials:
         assert len(t.enroll_utterance_ids) == 3
-        test_speaker = corpus.get(t.test_utterance_id).speaker_id
+        test_speaker = corpus.speaker_ids[corpus.row(t.test_utterance_id)]
         assert (test_speaker == t.enroll_speaker_id) == t.is_target
 
 
@@ -140,12 +140,9 @@ def test_corpus_roundtrip_bytes(tmp_path):
     loaded = load_corpus(str(d1))
     assert loaded.spec == corpus.spec
     assert loaded.spec.utterance_overrides == {1: 2}
-    assert len(loaded.utterances) == len(corpus.utterances)
-    for a, b in zip(loaded.utterances, corpus.utterances):
-        assert (a.utterance_id, a.speaker_id, a.language_id) == (
-            b.utterance_id, b.speaker_id, b.language_id)
-        assert np.array_equal(a.keyword, b.keyword)
-        assert np.array_equal(a.query, b.query)
+    assert (loaded.ids, loaded.speaker_ids) == (corpus.ids, corpus.speaker_ids)
+    for a, b in ((loaded.keyword, corpus.keyword), (loaded.query, corpus.query)):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
 
 
 def _rewrite(**members):
@@ -198,6 +195,18 @@ def test_interrupted_save_leaves_no_corpus(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         save_corpus(generate_corpus(small_spec()), str(tmp_path))
     assert os.listdir(tmp_path) == []
+
+
+def test_unknown_utterance_id_is_named_by_trial_line(tmp_path):
+    corpus = generate_corpus(small_spec())
+    for uid in ("l0s3u0", "l0s0u4", "x"):  # a fourth speaker, a fifth utterance
+        with pytest.raises(ValidationError, match=rf"^unknown utterance id '{uid}'$"):
+            corpus.row(uid)
+    path = tmp_path / "trials.tsv"
+    path.write_text("l0s0\tl0s0u0,l0s0u1\tl0s0u2\ttgt\nl0s0\tl0s0u0,l0s0u1\tl0s0u4\ttgt\n")
+    with pytest.raises(ValidationError,
+                       match=rf"^{re.escape(str(path))}:2: unknown utterance id 'l0s0u4'$"):
+        load_trials(str(path), corpus)
 
 
 def test_trial_tsv_roundtrip(tmp_path):
