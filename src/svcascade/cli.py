@@ -25,9 +25,8 @@ def _require(path: str, producer: str) -> str:
     return path
 
 
-def _trials_path(cfg: ExperimentConfig, language: int | None = None) -> str:
-    name = "trials.tsv" if language is None else f"trials_lang{language}.tsv"
-    return os.path.join(cfg.corpus_dir, name)
+def _trials_path(cfg: ExperimentConfig) -> str:
+    return os.path.join(cfg.corpus_dir, "trials.tsv")
 
 
 def _ckpt_path(cfg: ExperimentConfig, name: str) -> str:
@@ -67,17 +66,17 @@ def _remove(directory: str, *names: str) -> None:
 
 
 def cmd_gen_data(cfg: ExperimentConfig) -> None:
-    """Draws every trial list before writing anything and writes the corpus
-    last, so a split that fails or a run cut short leaves no corpus."""
+    """Draws each language's trials on their own, with seed trials.seed plus
+    the language, into one list in language order.  Every draw comes before
+    any write, and the corpus is written last, so a split that fails or a run
+    cut short leaves no corpus."""
     corpus = synthcorpus.generate_corpus(cfg.corpus_spec)
-    per_language = [synthcorpus.split_trials(
-        corpus, cfg.trial_targets, cfg.trial_nontargets,
-        cfg.enroll_per_speaker, seed=cfg.trial_seed + lang, languages=[lang])
-        for lang in range(cfg.corpus_spec.languages)]
+    trials = [trial for lang in range(cfg.corpus_spec.languages)
+              for trial in synthcorpus.split_trials(
+                  corpus, cfg.trial_targets, cfg.trial_nontargets,
+                  cfg.enroll_per_speaker, seed=cfg.trial_seed + lang, languages=[lang])]
     _remove(cfg.corpus_dir, synthcorpus.CORPUS_FILE)
-    for lang, trials in enumerate(per_language):
-        synthcorpus.save_trials(trials, _trials_path(cfg, lang))
-    synthcorpus.save_trials([t for trials in per_language for t in trials], _trials_path(cfg))
+    synthcorpus.save_trials(trials, _trials_path(cfg))
     synthcorpus.save_corpus(corpus, cfg.corpus_dir)
 
 
@@ -149,13 +148,17 @@ def cmd_eval(cfg: ExperimentConfig) -> None:
 
 
 def cmd_xeval(cfg: ExperimentConfig) -> None:
-    """Scores the pooled `train` models and one monolingual TD/TI model per
-    xeval language, trained here, on every xeval language: the full
-    cross-language EER matrix."""
+    """The cross-language EER matrix.  It scores the pooled `train` models,
+    and one monolingual TD/TI model per xeval language, trained here, on the
+    trials of each xeval language: the rows of `trials.tsv` whose enrolled
+    speaker is of that language.  A row per (model, language, system)."""
     corpus = _load_corpus(cfg)
+    trials = synthcorpus.load_trials(_require(_trials_path(cfg), "gen-data"), corpus)
     langs = cfg.xeval_languages
-    eval_sets = [(lang, corpus, synthcorpus.load_trials(
-        _require(_trials_path(cfg, lang), "gen-data"), corpus)) for lang in langs]
+    eval_sets = {}
+    for lang in langs:
+        speakers = corpus.speaker_rows([lang])
+        eval_sets[lang] = [t for t in trials if t.enroll_speaker_id in speakers]
     td_pooled = _load_checkpoint(cfg, "td", cfg.td_network)
     ti_pooled = _load_checkpoint(cfg, "ti", cfg.ti_network)
     _remove(cfg.checkpoint_dir, *(f"{s}_mono{lang}.ckpt" for lang in langs for s in ("td", "ti")))
@@ -165,13 +168,26 @@ def cmd_xeval(cfg: ExperimentConfig) -> None:
     ti = ge2e.train_per_language(corpus, cfg.ti_network, cfg.ti_train,
                                  ge2e.SEGMENT_KEYWORD_QUERY,
                                  {lang: cfg.ti_train.seed + 2000 + lang for lang in langs})
-    models = [("pooled", (cfg.td_train.languages, td_pooled), (cfg.ti_train.languages, ti_pooled))]
+    # (name, TD model, TI model, TD training languages, TI training languages)
+    models = [("pooled", td_pooled, ti_pooled, cfg.td_train.languages, cfg.ti_train.languages)]
     for lang in langs:
         dvector.save_checkpoint(_ckpt_path(cfg, f"td_mono{lang}"), td[lang])
         dvector.save_checkpoint(_ckpt_path(cfg, f"ti_mono{lang}"), ti[lang])
-        models.append((f"mono{lang}", ((lang,), td[lang]), ((lang,), ti[lang])))
-    cells = metrics.cross_eval_matrix(models, eval_sets, scoring.score_trials)
-    metrics.save_matrix_csv(os.path.join(cfg.report_dir, "xeval_matrix.csv"), cells)
+        models.append((f"mono{lang}", td[lang], ti[lang], (lang,), (lang,)))
+    rows = []
+    for name, td_params, ti_params, *trained in models:
+        for lang, lang_trials in eval_sets.items():
+            try:
+                eers = metrics.system_eers(
+                    scoring.score_trials(td_params, ti_params, corpus, lang_trials))
+            except ToolError as exc:
+                raise type(exc)(f"model {name}, eval language {lang}: {exc}") from None
+            rows += [(name, "+".join(map(str, train_langs)), system, str(lang),
+                      "%.2f" % (100.0 * result.eer), str(int(lang not in train_langs)))
+                     for (system, result), train_langs in zip(eers.items(), trained)]
+    errors.write_table(os.path.join(cfg.report_dir, "xeval_matrix.csv"), rows,
+                       header=("model", "train_lang", "system", "eval_lang", "eer_percent",
+                               "cross_lingual"), sep=",")
 
 
 def cmd_report(cfg: ExperimentConfig) -> None:

@@ -60,12 +60,9 @@ def fuse(alpha: float, td, ti):
 
 def sweep_fusion_weight(scores: ScoreTable, alphas: list[float]) -> FusionSweepResult:
     """EER at each alpha of `alphas`, an `alpha_grid`."""
-    n_tar, td, ti = scores.fusable("fusion sweep")
-    table = []
-    for alpha in alphas:
-        fused = fuse(alpha, td, ti)
-        table.append((alpha, compute_eer(fused[:n_tar], fused[n_tar:]).eer))
-    return FusionSweepResult.of(table)
+    tar, non = ((scores.td[rows], scores.ti[rows]) for rows in (scores.labels, ~scores.labels))
+    return FusionSweepResult.of([(alpha, compute_eer(fuse(alpha, *tar), fuse(alpha, *non)).eer)
+                                 for alpha in alphas])
 
 
 def save_sweep_csv(path: str, result: FusionSweepResult) -> None:

@@ -1,5 +1,4 @@
-"""Equal error rate and FAR/FRR machinery, plus the cross-language
-evaluation matrix report.
+"""Equal error rate and FAR/FRR machinery.
 
 Conventions, fixed and documented: a trial is accepted when score >= threshold
 (so FAR(t) counts nontargets >= t and FRR(t) counts targets < t), candidate
@@ -10,7 +9,8 @@ class is sorted once, and bisection finds the first candidate with
 FAR - FRR <= 0 among the targets, then among the nontargets below it.
 `compute_eer` is the kernel for one score set; the band sweep shares its
 rates from counts and its interpolation (`far_frr_from_counts`,
-`interpolate_eer`).
+`interpolate_eer`), and `system_eers` applies it to each column of a score
+table.
 EER is a fraction in [0, 1] internally; reports convert to percent.
 """
 
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import errors
 from .errors import ValidationError
 
 
@@ -82,46 +81,3 @@ def system_eers(scores) -> dict[str, EvalResult]:
     """compute_eer of the "td" and the "ti" column of a `scoring.ScoreTable`."""
     return {system: compute_eer(column[scores.labels], column[~scores.labels])
             for system, column in (("td", scores.td), ("ti", scores.ti))}
-
-
-@dataclass(frozen=True)
-class MatrixCell:
-    model_name: str
-    train_language: tuple[int, ...]  # the languages the system was trained on
-    system: str  # "td" or "ti"
-    eval_language: int
-    result: EvalResult
-    cross_lingual: bool  # the eval language is not a training language
-
-
-def cross_eval_matrix(models, eval_sets, scorer) -> list[MatrixCell]:
-    """EER for every (model, evaluation language) cell, TD and TI separately.
-
-    models: list of (name, td, ti), where td and ti are (training languages,
-            params) pairs.
-    eval_sets: list of (language, corpus, trials).
-    scorer: callable (td_params, ti_params, corpus, trials) -> ScoreTable,
-            normally scoring.score_trials.
-    """
-    cells: list[MatrixCell] = []
-    for name, (td_langs, td_params), (ti_langs, ti_params) in models:
-        for eval_lang, corpus, trials in eval_sets:
-            try:
-                scores = scorer(td_params, ti_params, corpus, trials)
-            except Exception as exc:
-                raise type(exc)(f"cell (model={name}, eval_lang={eval_lang}): {exc}") from exc
-            for (system, result), langs in zip(system_eers(scores).items(), (td_langs, ti_langs)):
-                cells.append(MatrixCell(
-                    model_name=name, train_language=tuple(langs), system=system,
-                    eval_language=eval_lang, result=result,
-                    cross_lingual=eval_lang not in langs))
-    return cells
-
-
-def save_matrix_csv(path: str, cells: list[MatrixCell]) -> None:
-    """One row per cell; train_lang joins the training languages with `+`."""
-    errors.write_table(path, ((c.model_name, "+".join(map(str, c.train_language)), c.system,
-                               str(c.eval_language), "%.2f" % (100.0 * c.result.eer),
-                               str(int(c.cross_lingual))) for c in cells),
-                       header=("model", "train_lang", "system", "eval_lang", "eer_percent",
-                               "cross_lingual"), sep=",")

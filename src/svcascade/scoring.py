@@ -28,13 +28,6 @@ class ScoreTable:
     td: np.ndarray
     ti: np.ndarray
 
-    def fusable(self, what: str) -> tuple[int, np.ndarray, np.ndarray]:
-        """(target count, td, ti), target rows first: each class is a slice."""
-        if not self.labels.any() or self.labels.all():
-            raise ValidationError(f"{what} needs both target and nontarget trials")
-        order = np.argsort(~self.labels, kind="stable")
-        return int(self.labels.sum()), self.td[order], self.ti[order]
-
 
 def _check_unit(vec: np.ndarray, what: str) -> np.ndarray:
     vec = np.asarray(vec, dtype=np.float64)

@@ -224,13 +224,15 @@ def sweep_bands(scores: ScoreTable, values, alpha: FusionWeight) -> list[BandCel
     system's.  Every other cell's EER comes from per-class counts of final
     scores below each candidate threshold, bisected for all cells at once."""
     values = np.asarray(values, dtype=float)
-    n_tar, td, ti = scores.fusable("band sweep")
-    fused = fuse(alpha.alpha, td, ti)
+    td, labels = scores.td, scores.labels
+    fused = fuse(alpha.alpha, td, scores.ti)
     if not (np.all(np.isfinite(td)) and np.all(np.isfinite(fused))):
         raise ValidationError("scores must be finite")
-    td_eer = compute_eer(td[:n_tar], td[n_tar:]).eer
-    tar = _BandCounts(td[:n_tar], fused[:n_tar], values)
-    non = _BandCounts(td[n_tar:], fused[n_tar:], values)
+    (td_tar, fused_tar), (td_non, fused_non) = ((td[rows], fused[rows])
+                                                for rows in (labels, ~labels))
+    td_eer = compute_eer(td_tar, td_non).eer
+    tar = _BandCounts(td_tar, fused_tar, values)
+    non = _BandCounts(td_non, fused_non, values)
     candidates = np.concatenate([td, fused, [np.inf]])
     candidates.sort()
     # flat cell index of each lower bound's first cell, in (lower, upper) order

@@ -1,9 +1,12 @@
 import csv
 import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svcascade import cli, fusion, ge2e, metrics, scoring, synthcorpus, triage
 from svcascade.config import parse_config
@@ -323,7 +326,7 @@ def test_interrupted_rerun_leaves_no_mixed_set(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("command, module, name, removed", [
     pytest.param("triage-sweep", triage, "pareto_frontier", ["frontier.csv", "prior_curve.csv"],
                  id="triage-sweep-at-frontier"),
-    pytest.param("xeval", metrics, "cross_eval_matrix", ["xeval_matrix.csv"],
+    pytest.param("xeval", metrics, "system_eers", ["xeval_matrix.csv"],
                  id="xeval-at-matrix"),
 ])
 def test_interrupted_rerun_removes_what_it_replaces(tmp_path, monkeypatch,
@@ -372,6 +375,12 @@ def _add_member(path):
                  "eval", "scores.tsv:1: non-numeric score", id="scores-all-na"),
     pytest.param("scores/scores.tsv", "s0\tu0\ttgt\tnan\t0.8\ns0\tu1\tnon\t0.1\t0.2\n",
                  "eval", "scores.tsv:1", id="scores-non-finite"),
+    # each stage refuses a score file of one class with compute_eer's message
+    *(pytest.param("scores/scores.tsv",
+                   f"s0\tu0\t{label}\t0.9\t0.8\ns0\tu1\t{label}\t0.1\t0.2\n", command,
+                   "need at least one target and one nontarget score",
+                   id=f"scores-one-class-{command}")
+      for command, label in (("fuse-sweep", "tgt"), ("triage-sweep", "non"), ("eval", "tgt"))),
     pytest.param("reports/fusion_sweep.csv", "alpha,eer\n0.0,0.1\n1.0\n",
                  "triage-sweep", "fusion_sweep.csv:3", id="sweep-short-row"),
     pytest.param("reports/fusion_sweep.csv", "alpha,eer\n0.0,abc\n",
@@ -403,9 +412,9 @@ def _add_member(path):
     pytest.param("corpus/trials.tsv", "l0s0\tl0s0u0,l0s0u1\tl0s0u2\ttgt\n"
                  "l0s0\tl0s0u0,l0s0u1\tl0s1u2\tnon\nl0s0\tl0s0u0,l0s0u1\tl9s9u9\tnon\n",
                  "score", "trials.tsv:3", id="trials-unknown-test-id"),
-    pytest.param("corpus/trials_lang1.tsv", "l1s0\tl1s0u0,l1s0u1\tl1s0u2\ttgt\n"
+    pytest.param("corpus/trials.tsv", "l1s0\tl1s0u0,l1s0u1\tl1s0u2\ttgt\n"
                  "l1s0\tl1s0u0,l9s9u9\tl1s1u2\tnon\n",
-                 "xeval", "trials_lang1.tsv:2", id="trials-unknown-enroll-id"),
+                 "xeval", "trials.tsv:2", id="trials-unknown-enroll-id"),
     pytest.param("corpus/trials.tsv", "l0s0\tl0s0u0,l0s0u1\tl0s0u2\ttgt\n"
                  "l0s0\tl0s0u0,l0s0u1\tl0s0u3\tnon\n",
                  "score", "trials.tsv:2", id="trials-label-mismatch"),
@@ -492,8 +501,7 @@ def pipeline(tmp_path_factory):
 
 def test_pipeline_artifacts_exist(pipeline):
     expected = [
-        "corpus/corpus.npz", "corpus/trials.tsv", "corpus/trials_lang0.tsv",
-        "corpus/trials_lang1.tsv", "checkpoints/td.ckpt", "checkpoints/ti.ckpt",
+        "corpus/corpus.npz", "corpus/trials.tsv", "checkpoints/td.ckpt", "checkpoints/ti.ckpt",
         "checkpoints/loss_td.csv", "checkpoints/loss_ti.csv",
         "scores/scores.tsv", "scores/triaged.tsv", "reports/fusion_sweep.csv",
         "reports/heatmap.csv", "reports/frontier.csv", "reports/prior_curve.csv",
@@ -593,6 +601,23 @@ def test_gen_data_idempotent(pipeline, tmp_path):
     assert before == after
 
 
+def test_gen_data_writes_one_list_of_per_language_draws(tmp_path):
+    """The rows of trials.tsv enrolled in language l are, in order, the
+    trials drawn for l alone: the split that xeval makes."""
+    cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path), **{"corpus.languages": "3"})
+    assert cli.run("gen-data", str(cfg_path)) == 0
+    cfg = parse_config(str(cfg_path))
+    assert sorted(os.listdir(cfg.corpus_dir)) == ["corpus.npz", "trials.tsv"]
+    corpus = synthcorpus.load_corpus(cfg.corpus_dir)
+    trials = synthcorpus.load_trials(os.path.join(cfg.corpus_dir, "trials.tsv"), corpus)
+    assert len(trials) == 3 * (cfg.trial_targets + cfg.trial_nontargets)
+    for lang in range(3):
+        speakers = corpus.speaker_rows([lang])
+        assert [t for t in trials if t.enroll_speaker_id in speakers] == synthcorpus.split_trials(
+            corpus, cfg.trial_targets, cfg.trial_nontargets, cfg.enroll_per_speaker,
+            seed=cfg.trial_seed + lang, languages=[lang])
+
+
 def test_xeval_matrix(tmp_path):
     workdir = str(tmp_path)
     cfg_path = write_config(os.path.join(workdir, "exp.cfg"), workdir,
@@ -616,3 +641,89 @@ def test_xeval_matrix(tmp_path):
     for lang in (0, 1):
         assert os.path.exists(os.path.join(workdir, f"checkpoints/td_mono{lang}.ckpt"))
         assert os.path.exists(os.path.join(workdir, f"checkpoints/ti_mono{lang}.ckpt"))
+
+    # TD and TI trained on different languages, xeval languages out of
+    # order: each row names its own system's training languages
+    cfg_path = write_config(os.path.join(workdir, "exp.cfg"), workdir, **{
+        "train.td.steps": "20", "train.ti.steps": "20", "train.ti.language_weights": "1:1",
+        "xeval.languages": "1,0"})
+    assert cli.run("train", cfg_path) == 0
+    assert cli.run("xeval", cfg_path) == 0
+    with open(os.path.join(workdir, "reports/xeval_matrix.csv"), newline="") as f:
+        rows = list(csv.reader(f))
+    assert [r[:4] + r[5:] for r in rows[1:]] == [
+        ["pooled", "0+1", "td", "1", "0"], ["pooled", "1", "ti", "1", "0"],
+        ["pooled", "0+1", "td", "0", "0"], ["pooled", "1", "ti", "0", "1"],
+        ["mono1", "1", "td", "1", "0"], ["mono1", "1", "ti", "1", "0"],
+        ["mono1", "1", "td", "0", "1"], ["mono1", "1", "ti", "0", "1"],
+        ["mono0", "0", "td", "1", "1"], ["mono0", "0", "ti", "1", "1"],
+        ["mono0", "0", "td", "0", "0"], ["mono0", "0", "ti", "0", "0"]]
+
+
+def test_xeval_scoring_failure_names_model_and_language(tmp_path, capsys):
+    """A language whose trials are all targets cannot be scored: the error
+    keeps its type (exit 1) and names the model and the language."""
+    workdir = str(tmp_path)
+    cfg_path = write_config(os.path.join(workdir, "exp.cfg"), workdir,
+                            **{"train.td.steps": "5", "train.ti.steps": "5"})
+    assert cli.run("gen-data", cfg_path) == 0
+    assert cli.run("train", cfg_path) == 0
+    trials = tmp_path / "corpus" / "trials.tsv"
+    trials.write_text("".join(line for line in trials.read_text().splitlines(keepends=True)
+                              if line.startswith("l0") or line.endswith("\ttgt\n")))
+    assert cli.run("xeval", cfg_path) == 1
+    err = capsys.readouterr().err
+    assert "model pooled, eval language 1: need at least one target and one nontarget" in err
+    assert "Traceback" not in err
+
+
+@st.composite
+def tiny_configs(draw):
+    """Config keys drawn from the schema's ranges at tiny sizes.  Values are
+    drawn evenly, not toward the bounds, and projection_dim equals
+    output_dim, so about a third of the configs parse (a uniform draw of
+    every key would rarely parse)."""
+    languages = draw(st.integers(1, 4))
+    size = st.sampled_from(range(1, 7))
+    values = {"corpus.languages": languages,
+              "corpus.speakers_per_language": draw(size),
+              "corpus.utterances_per_speaker": draw(st.sampled_from(range(1, 9))),
+              "corpus.keyword_frames": draw(size), "corpus.query_frames": draw(size),
+              "corpus.feature_dim": draw(size),
+              "corpus.utterance_noise_scale": draw(st.sampled_from([0.0, 0.5, 2.0])),
+              "trials.targets": draw(st.integers(1, 20)),
+              "trials.nontargets": draw(st.integers(1, 20)),
+              "trials.enroll_per_speaker": draw(st.sampled_from((1, 2, 3))),
+              "fusion.grid_step": draw(st.sampled_from([0.1, 0.25, 0.5])),
+              "triage.band_step": draw(st.sampled_from([0.1, 0.25, 0.5])),
+              "triage.alpha": draw(st.sampled_from(["sweep", "0", "0.5", "1"])),
+              "xeval.languages": ",".join(map(str, draw(
+                  st.lists(st.integers(0, languages - 1), unique=True, max_size=2))))}
+    for s in ("td", "ti"):
+        values[f"network.{s}.projection_dim"] = values[f"network.{s}.output_dim"] = draw(size)
+        values.update({f"network.{s}.num_layers": draw(st.integers(1, 3)),
+                       f"network.{s}.cells": draw(size),
+                       f"train.{s}.batch_n": draw(st.sampled_from((2, 3))),
+                       f"train.{s}.batch_m": draw(st.sampled_from((2, 3))),
+                       f"train.{s}.steps": draw(st.integers(1, 3))})
+    return {key: str(value) for key, value in values.items()}
+
+
+@settings(max_examples=50, deadline=None)
+@given(tiny_configs())
+def test_a_config_that_parses_runs_every_stage(values):
+    """A config refused at parse time fails every command with exit 1; one
+    that parses runs all nine commands, and can fail only on its data, as a
+    numeric failure (exit 3).  No command raises."""
+    with tempfile.TemporaryDirectory() as workdir:
+        cfg_path = write_config(os.path.join(workdir, "exp.cfg"), workdir, **values)
+        try:
+            parse_config(cfg_path)
+        except ValidationError:
+            assert {cli.run(command, cfg_path) for command in cli.COMMANDS} == {1}
+            return
+        for command in cli.COMMANDS:
+            code = cli.run(command, cfg_path)
+            if code:
+                assert code == 3, command
+                return

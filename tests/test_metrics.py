@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svcascade.errors import ValidationError
-from svcascade.metrics import _far_frr, compute_eer, cross_eval_matrix
-
-from conftest import make_scores
+from svcascade.metrics import _far_frr, compute_eer
 
 
 def eer_bruteforce(tar, non):
@@ -173,26 +171,6 @@ def test_negate_and_swap_leaves_eer_unchanged(seed):
     base = compute_eer(tar, non).eer
     flipped = compute_eer(-non, -tar).eer
     assert flipped == pytest.approx(base, abs=1e-12)
-
-
-def test_cross_eval_matrix_shape_and_flags():
-    def scorer(td_params, ti_params, corpus, trials):
-        return make_scores([0.9], [0.9], [0.1], [0.1])
-
-    models = [("mono0", ((0,), None), ((0,), None)),
-              ("mono1", ((1,), None), ((1,), None)),
-              ("pooled", ((0, 1), None), ((1,), None))]
-    eval_sets = [(0, None, None), (1, None, None), (2, None, None)]
-    cells = cross_eval_matrix(models, eval_sets, scorer)
-    assert len(cells) == 3 * 3 * 2  # models x languages x {td, ti}
-    for cell in cells:
-        assert cell.cross_lingual == (cell.eval_language not in cell.train_language)
-        assert cell.result.eer == 0.0
-        assert cell.system in ("td", "ti")
-    pooled = {(c.system, c.eval_language): c.cross_lingual
-              for c in cells if c.model_name == "pooled"}
-    assert pooled == {("td", 0): False, ("td", 1): False, ("td", 2): True,
-                      ("ti", 0): True, ("ti", 1): False, ("ti", 2): True}
 
 
 @pytest.mark.slow

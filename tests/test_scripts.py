@@ -37,3 +37,28 @@ def test_benchmark_selftest_runs():
     result = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "selftest.py")],
                             cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_benchmark_hooks_fit_the_package(tmp_path, monkeypatch):
+    """One traced desk pass at tiny sizes: every span attribute hook of the
+    benchmark reads the names and signatures it expects, such as `Trial` and
+    `score_trials(td, ti, corpus, trials)`.  `triage.apply_triage` is the
+    one known misfit (it returns arrays where its hook reads rows)."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    monkeypatch.chdir(tmp_path)
+    import selftest
+    import workloads
+    from spans import Tracer
+
+    pipeline = workloads.DeskPipeline(0, selftest.tiny_settings(str(tmp_path))["desk-pipeline"])
+    pipeline.prepare()
+    pipeline.setup(Tracer())
+    pipeline.inputs()
+    tracer, tally = Tracer(), workloads.Tally()
+    tracer.install()
+    try:
+        pipeline.run_pass(tracer, tally)
+    finally:
+        tracer.uninstall()
+    assert tally.failed == 0, tally.problems
+    assert {s.name for s in tracer.spans if s.attrs.get("hook_error")} <= {"triage.apply_triage"}
