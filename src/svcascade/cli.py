@@ -83,10 +83,10 @@ def cmd_gen_data(cfg: ExperimentConfig) -> None:
 def cmd_train(cfg: ExperimentConfig) -> None:
     corpus = _load_corpus(cfg)
     _remove(cfg.checkpoint_dir, "td.ckpt", "ti.ckpt", "loss_td.csv", "loss_ti.csv")
-    for name, spec, train_cfg, segment in (
-            ("td", cfg.td_network, cfg.td_train, ge2e.SEGMENT_KEYWORD),
-            ("ti", cfg.ti_network, cfg.ti_train, ge2e.SEGMENT_KEYWORD_QUERY)):
-        params, trace = ge2e.train(corpus, spec, train_cfg, segment)
+    models = ge2e.train_models(corpus, [
+        (cfg.td_network, cfg.td_train, ge2e.SEGMENT_KEYWORD),
+        (cfg.ti_network, cfg.ti_train, ge2e.SEGMENT_KEYWORD_QUERY)])
+    for name, (params, trace) in zip(("td", "ti"), models):
         dvector.save_checkpoint(_ckpt_path(cfg, name), params)
         ge2e.save_loss_trace(os.path.join(cfg.checkpoint_dir, f"loss_{name}.csv"), trace)
 
@@ -151,7 +151,9 @@ def cmd_xeval(cfg: ExperimentConfig) -> None:
     """The cross-language EER matrix.  It scores the pooled `train` models,
     and one monolingual TD/TI model per xeval language, trained here, on the
     trials of each xeval language: the rows of `trials.tsv` whose enrolled
-    speaker is of that language.  A row per (model, language, system)."""
+    speaker is of that language.  A row per (model, language, system).  The
+    pooled models are scored first, so trials they cannot score fail the
+    command before any training."""
     corpus = _load_corpus(cfg)
     trials = synthcorpus.load_trials(_require(_trials_path(cfg), "gen-data"), corpus)
     langs = cfg.xeval_languages
@@ -163,19 +165,10 @@ def cmd_xeval(cfg: ExperimentConfig) -> None:
     ti_pooled = _load_checkpoint(cfg, "ti", cfg.ti_network)
     _remove(cfg.checkpoint_dir, *(f"{s}_mono{lang}.ckpt" for lang in langs for s in ("td", "ti")))
     _remove(cfg.report_dir, "xeval_matrix.csv")
-    td = ge2e.train_per_language(corpus, cfg.td_network, cfg.td_train, ge2e.SEGMENT_KEYWORD,
-                                 {lang: cfg.td_train.seed + 1000 + lang for lang in langs})
-    ti = ge2e.train_per_language(corpus, cfg.ti_network, cfg.ti_train,
-                                 ge2e.SEGMENT_KEYWORD_QUERY,
-                                 {lang: cfg.ti_train.seed + 2000 + lang for lang in langs})
-    # (name, TD model, TI model, TD training languages, TI training languages)
-    models = [("pooled", td_pooled, ti_pooled, cfg.td_train.languages, cfg.ti_train.languages)]
-    for lang in langs:
-        dvector.save_checkpoint(_ckpt_path(cfg, f"td_mono{lang}"), td[lang])
-        dvector.save_checkpoint(_ckpt_path(cfg, f"ti_mono{lang}"), ti[lang])
-        models.append((f"mono{lang}", td[lang], ti[lang], (lang,), (lang,)))
-    rows = []
-    for name, td_params, ti_params, *trained in models:
+
+    def model_rows(name, td_params, ti_params, *trained):
+        """A model's rows; `trained` holds its TD and its TI training languages."""
+        rows = []
         for lang, lang_trials in eval_sets.items():
             try:
                 eers = metrics.system_eers(
@@ -185,7 +178,21 @@ def cmd_xeval(cfg: ExperimentConfig) -> None:
             rows += [(name, "+".join(map(str, train_langs)), system, str(lang),
                       "%.2f" % (100.0 * result.eer), str(int(lang not in train_langs)))
                      for (system, result), train_langs in zip(eers.items(), trained)]
-    errors.write_table(os.path.join(cfg.report_dir, "xeval_matrix.csv"), rows,
+        return rows
+
+    matrix = model_rows("pooled", td_pooled, ti_pooled, cfg.td_train.languages,
+                        cfg.ti_train.languages)
+    # the longer TI jobs first, so that the TD jobs fill in behind them
+    models = [params for params, _ in ge2e.train_models(corpus, [
+        *((cfg.ti_network, cfg.ti_train.monolingual(lang, cfg.ti_train.seed + 2000 + lang),
+           ge2e.SEGMENT_KEYWORD_QUERY) for lang in langs),
+        *((cfg.td_network, cfg.td_train.monolingual(lang, cfg.td_train.seed + 1000 + lang),
+           ge2e.SEGMENT_KEYWORD) for lang in langs)])]
+    for lang, ti, td in zip(langs, models[:len(langs)], models[len(langs):]):
+        dvector.save_checkpoint(_ckpt_path(cfg, f"td_mono{lang}"), td)
+        dvector.save_checkpoint(_ckpt_path(cfg, f"ti_mono{lang}"), ti)
+        matrix += model_rows(f"mono{lang}", td, ti, (lang,), (lang,))
+    errors.write_table(os.path.join(cfg.report_dir, "xeval_matrix.csv"), matrix,
                        header=("model", "train_lang", "system", "eval_lang", "eer_percent",
                                "cross_lingual"), sep=",")
 

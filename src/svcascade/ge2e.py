@@ -1,7 +1,8 @@
 """Generalized end-to-end training: batch similarity matrix S = w * cos
 against speaker centroids (leave-one-out for the positive term), the
 softmax GE2E loss, exact reverse-mode gradients through the network, and a
-weighted-language batch sampler for multilingual training.
+weighted-language batch sampler for multilingual training.  `train_models`
+trains independent models at once in a pool of worker processes.
 
 The loss is summed over the N*M utterances of a batch.  Softmax is
 shift-invariant, so S carries no offset.  The similarity scale w is kept
@@ -10,12 +11,14 @@ strictly positive by projecting it to a small floor after each update.
 
 from __future__ import annotations
 
+import atexit
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import dvector, errors
-from .errors import CapacityError, NumericError, ValidationError
+from .errors import CapacityError, NumericError, ToolError, ValidationError
 from .synthcorpus import Corpus, CorpusSpec
 
 SEGMENT_KEYWORD = "keyword"
@@ -23,6 +26,9 @@ SEGMENT_KEYWORD_QUERY = "keyword+query"
 SEGMENTS = (SEGMENT_KEYWORD, SEGMENT_KEYWORD_QUERY)
 
 SCALE_FLOOR = 1e-3
+
+# set to 1 in a training worker's environment: a worker is one CPU's worth of training
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,10 @@ class TrainConfig:
     def languages(self) -> tuple[int, ...]:
         """The languages a model is trained on: those of weight > 0, sorted."""
         return tuple(sorted(lang for lang, w in self.language_weights.items() if w > 0))
+
+    def monolingual(self, language: int, seed: int) -> "TrainConfig":
+        """This config on `language` alone, with its own seed."""
+        return replace(self, language_weights={language: 1.0}, seed=seed)
 
 
 def _check_batch_shape(shape: tuple[int, ...]) -> None:
@@ -252,10 +262,140 @@ def train(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
 def train_per_language(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
                        segment: str, seeds: dict[int, int]) -> dict[int, dvector.Parameters]:
     """One monolingual model per language in `seeds`, each trained like
-    `train` with `cfg` on that language alone and with its own seed."""
-    return {lang: train(corpus, spec, replace(cfg, language_weights={lang: 1.0}, seed=seed),
-                        segment)[0]
-            for lang, seed in seeds.items()}
+    `train` with `cfg` on that language alone and with its own seed, all in
+    one `train_models` call."""
+    models = train_models(corpus, [(spec, cfg.monolingual(lang, seed), segment)
+                                   for lang, seed in seeds.items()])
+    return {lang: params for lang, (params, _) in zip(seeds, models)}
+
+
+Job = tuple[dvector.NetworkSpec, TrainConfig, str]  # the arguments of `train` after the corpus
+_pool: _Pool | None = None  # built by the first `train_models` call that has jobs
+
+
+def train_models(corpus: Corpus, jobs: list[Job]) -> list[tuple[dvector.Parameters, list]]:
+    """`train(corpus, *job)` for every job, in the process-wide training pool;
+    the results come back in job order and equal those of `train` bit for
+    bit.  A job that raises raises here, the first such job in job order; a
+    worker that dies is a ToolError naming its model.  A pool broken by either
+    a dead worker or an interrupt is replaced on the next call.  The pool
+    serves one call at a time: call this from one thread."""
+    global _pool
+    if not jobs:
+        return []
+    if _pool is None or not _pool.alive():
+        if _pool is not None:
+            _pool.close(kill=True)
+        _pool = _Pool()
+    return _pool.run(corpus, jobs)
+
+
+def _serve(conn) -> None:
+    """A training worker: trains each job it receives and sends back the
+    result, or the exception, until the parent closes the pipe.  Each call
+    sends a worker the corpus once, with its first job."""
+    import signal  # only workers use these two
+    import traceback
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt
+    corpus = None
+    while True:
+        try:
+            sent, job = conn.recv()
+        except EOFError:
+            return
+        corpus = corpus if sent is None else sent
+        try:
+            result = train(corpus, *job)
+        except Exception as exc:
+            if not isinstance(exc, ToolError):  # a fault: keep where it happened
+                traceback.print_exc()
+            result = exc
+        conn.send(result)
+
+
+class _Pool:
+    """One spawn worker per usable CPU, each running `_serve` at one BLAS
+    thread.  Spawned workers share nothing with the parent but their pipes."""
+
+    def __init__(self) -> None:
+        import multiprocessing  # here, so that importing the package does not pay for it
+        context = multiprocessing.get_context("spawn")
+        try:
+            count = len(os.sched_getaffinity(0))
+        except AttributeError:  # a platform without CPU affinity
+            count = os.cpu_count() or 1
+        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
+        self.workers = {}  # the parent's end of each worker's pipe -> its process
+        try:
+            os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
+            for _ in range(count):
+                conn, child = context.Pipe()
+                process = context.Process(target=_serve, args=(child,), daemon=True)
+                process.start()
+                child.close()
+                self.workers[conn] = process
+        except BaseException:
+            self.close(kill=True)
+            raise
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+        atexit.register(self.close)
+
+    def alive(self) -> bool:
+        return bool(self.workers) and all(p.is_alive() for p in self.workers.values())
+
+    def run(self, corpus: Corpus, jobs: list[Job]) -> list:
+        from multiprocessing.connection import wait
+        results: list = [None] * len(jobs)
+        todo = list(reversed(range(len(jobs))))  # popped from the end, so in job order
+        idle = list(self.workers)
+        lacking = set(idle)  # workers not yet sent this call's corpus
+        busy = {}
+        try:
+            while todo or busy:
+                while todo and idle:
+                    conn, i = idle.pop(), todo.pop()
+                    conn.send((corpus if conn in lacking else None, jobs[i]))
+                    lacking.discard(conn)
+                    busy[conn] = i
+                for conn in wait(list(busy)):
+                    i = busy.pop(conn)
+                    results[i] = conn.recv()
+                    idle.append(conn)
+                    if isinstance(results[i], Exception):  # a later job cannot raise first
+                        todo = [j for j in todo if j < i]
+        except (EOFError, OSError):  # the pipe of job i's worker closed: it died
+            process = self.workers[conn]
+            self.close(kill=True)
+            _, cfg, segment = jobs[i]
+            raise ToolError(
+                f"a training worker died (exit code {process.exitcode}) while training the "
+                f"{segment} model of languages {'+'.join(map(str, cfg.languages))} with seed "
+                f"{cfg.seed}") from None
+        except BaseException:  # an interrupt leaves jobs running: the pool cannot be reused
+            self.close(kill=True)
+            raise
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+        return results
+
+    def close(self, kill: bool = False) -> None:
+        """Ends the workers: an idle one returns when its pipe closes, and
+        `kill` terminates busy ones."""
+        for conn, process in self.workers.items():
+            if kill:
+                process.terminate()
+            else:
+                conn.close()
+        for conn, process in self.workers.items():
+            process.join()
+            conn.close()
+        self.workers = {}
 
 
 def save_loss_trace(path: str, trace: list[tuple[int, float, int]]) -> None:

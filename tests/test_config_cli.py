@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svcascade import cli, fusion, ge2e, metrics, scoring, synthcorpus, triage
+from svcascade import cli, dvector, fusion, ge2e, metrics, scoring, synthcorpus, triage
 from svcascade.config import parse_config
 from svcascade.dvector import NetworkSpec
 from svcascade.errors import CapacityError, ValidationError
@@ -297,7 +297,7 @@ def test_dependency_errors_in_order(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, module, name, call", [
     pytest.param("gen-data", synthcorpus, "save_trials", 1, id="gen-data-at-first-trial-list"),
-    pytest.param("train", ge2e, "train", 2, id="train-during-ti-training"),
+    pytest.param("train", dvector, "save_checkpoint", 2, id="train-at-ti-checkpoint"),
 ])
 def test_interrupted_rerun_leaves_no_mixed_set(tmp_path, capsys, monkeypatch,
                                                command, module, name, call):
@@ -675,6 +675,25 @@ def test_xeval_scoring_failure_names_model_and_language(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "model pooled, eval language 1: need at least one target and one nontarget" in err
     assert "Traceback" not in err
+    assert not list((tmp_path / "checkpoints").glob("*_mono*"))  # scored before any training
+
+
+def test_a_worker_error_reaches_cli_run_as_in_process(tmp_path, capsys):
+    """`train` on a corpus of fewer utterances than its config's: the TD and
+    the TI worker each raise the CapacityError of `ge2e.train`, and `cli.run`
+    reports the TD one, the first model, with its exit code, as in process."""
+    cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path), **{
+        "corpus.utterances_per_speaker": "3", "trials.enroll_per_speaker": "2"})
+    assert cli.run("gen-data", str(cfg_path)) == 0
+    cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path), **{
+        "train.td.batch_m": "4", "train.ti.batch_m": "5"})
+    cfg = parse_config(str(cfg_path))
+    with pytest.raises(CapacityError) as expected:
+        ge2e.train(synthcorpus.load_corpus(cfg.corpus_dir), cfg.td_network, cfg.td_train,
+                   ge2e.SEGMENT_KEYWORD)
+    assert cli.run("train", str(cfg_path)) == expected.value.exit_code
+    assert capsys.readouterr().err == f"svcascade train: {expected.value}\n"
+    assert not (tmp_path / "checkpoints").exists()
 
 
 @st.composite

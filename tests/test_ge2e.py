@@ -1,3 +1,6 @@
+import hashlib
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svcascade import dvector, ge2e
-from svcascade.errors import CapacityError, ValidationError
+from svcascade.errors import CapacityError, ToolError, ValidationError
 from svcascade.ge2e import (
     SCALE_FLOOR, SEGMENT_KEYWORD, SEGMENT_KEYWORD_QUERY, TrainConfig,
     _loss_and_embedding_grads, gradient_check, segment_frames, train)
@@ -219,3 +222,86 @@ def test_train_config_validation():
         TrainConfig(language_weights={0: 0.0})
     with pytest.raises(ValidationError):
         TrainConfig(language_weights={0: -1.0})
+
+
+def _digests(params):
+    return {name: hashlib.sha256(value.tobytes()).hexdigest()
+            for name, value in params.values.items()}
+
+
+def _workers():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _trains_as_in_process(corpus, jobs):
+    """Pool results equal `train`'s in process: the spec, every parameter
+    block by sha256, and the loss trace."""
+    for (params, trace), job in zip(ge2e.train_models(corpus, jobs), jobs, strict=True):
+        expected, expected_trace = train(corpus, *job)
+        assert params.spec == expected.spec and _digests(params) == _digests(expected)
+        assert trace == expected_trace
+
+
+def test_train_models_equals_train_bit_for_bit(small_corpus):
+    """A TD and a TI model, and monolingual models of three languages,
+    trained in the pool at one BLAS thread per worker."""
+    weights = {lang: 1.0 for lang in range(4)}
+    _trains_as_in_process(small_corpus, [
+        (dvector.TD_SMALL, TrainConfig(weights, steps=30, seed=3), SEGMENT_KEYWORD),
+        (dvector.TI_SMALL, TrainConfig(weights, steps=30, seed=4), SEGMENT_KEYWORD_QUERY),
+        *((dvector.TI_SMALL, TrainConfig(weights, steps=10).monolingual(lang, 10 + lang),
+           SEGMENT_KEYWORD_QUERY) for lang in range(3))])
+    assert len(_workers()) == len(os.sched_getaffinity(0))
+
+
+def test_train_models_raises_what_train_raises(small_corpus):
+    """A job's error is the one `train` raises in process, and it leaves the
+    pool in use."""
+    ok = (dvector.TD_SMALL, TrainConfig({0: 1.0}, steps=20), SEGMENT_KEYWORD)
+    bad = (dvector.TD_SMALL, TrainConfig({0: 1.0}, batch_m=9, steps=20), SEGMENT_KEYWORD)
+    ge2e.train_models(small_corpus, [ok])
+    workers = _workers()
+    with pytest.raises(CapacityError) as expected:
+        train(small_corpus, *bad)
+    with pytest.raises(CapacityError) as raised:
+        ge2e.train_models(small_corpus, [ok, bad])
+    assert str(raised.value) == str(expected.value)
+    assert _workers() == workers
+
+
+class _EndsTheWorker:
+    """Unpickled in a worker, it ends the worker's process at once."""
+
+    def __reduce__(self):
+        return os._exit, (7,)
+
+
+class _Interrupts:
+    """Pickled for a worker, it raises KeyboardInterrupt in the parent, as
+    an interrupt while the jobs are sent would."""
+
+    def __reduce__(self):
+        raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("breaker, raised, message", [
+    pytest.param(_EndsTheWorker(), ToolError, "a training worker died (exit code 7) while "
+                 "training the keyword model of languages 2 with seed 5", id="dead-worker"),
+    pytest.param(_Interrupts(), KeyboardInterrupt, "", id="interrupt"),
+])
+def test_a_broken_pool_is_replaced(small_corpus, breaker, raised, message):
+    """A worker that dies ends its call as a ToolError naming the model, and an
+    interrupt leaves a job running; either way the next call starts new
+    workers, so no result of the broken call is read as one of its own."""
+    weights = {lang: 1.0 for lang in range(4)}
+    ge2e.train_models(small_corpus, [(dvector.TD_SMALL, TrainConfig(weights, steps=1),
+                                      SEGMENT_KEYWORD)])
+    workers = _workers()
+    with pytest.raises(raised) as info:
+        ge2e.train_models(small_corpus, [
+            (dvector.TI_SMALL, TrainConfig(weights, steps=300, seed=1), SEGMENT_KEYWORD_QUERY),
+            (breaker, TrainConfig({2: 1.0}, seed=5), SEGMENT_KEYWORD)])
+    assert str(info.value) == message
+    _trains_as_in_process(small_corpus, [
+        (dvector.TI_SMALL, TrainConfig(weights, steps=20, seed=2), SEGMENT_KEYWORD_QUERY)])
+    assert not _workers() & workers

@@ -5,17 +5,19 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import svcascade
 from test_config_cli import write_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(name, *args):
+def run_script(path, *args):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(svcascade.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
+    return subprocess.run([sys.executable, path, *args],
                           env=env, capture_output=True, text=True, timeout=300)
 
 
@@ -24,11 +26,32 @@ def test_run_pipeline_with_xeval(tmp_path):
     checkpoints and per-language models."""
     cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path),
                             **{"train.td.steps": "10", "train.ti.steps": "10"})
-    result = run_script("run_pipeline.py", "--config", str(cfg_path), "--with-xeval")
+    result = run_script(os.path.join(ROOT, "scripts", "run_pipeline.py"),
+                        "--config", str(cfg_path), "--with-xeval")
     assert result.returncode == 0, result.stderr
     with open(tmp_path / "reports" / "xeval_matrix.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert [r["train_lang"] for r in rows if r["model"] == "pooled"] == ["0+1"] * 4
+
+
+def test_train_twice_then_exit_leaves_no_worker(tmp_path):
+    """A script that trains twice exits cleanly: it joins its training
+    workers, so none outlives it, and it writes nothing to stderr."""
+    cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path))
+    script = tmp_path / "train_twice.py"
+    script.write_text(
+        "import multiprocessing, sys\n"
+        "from svcascade import cli\n"
+        "if __name__ == '__main__':\n"
+        "    print(*(cli.run(command, sys.argv[1]) for command in ('gen-data', 'train', 'train')))\n"
+        "    print(*(p.pid for p in multiprocessing.active_children()))\n")
+    result = run_script(str(script), str(cfg_path))
+    assert result.returncode == 0 and result.stderr == ""
+    codes, pids = result.stdout.splitlines()
+    assert codes == "0 0 0" and pids
+    for pid in map(int, pids.split()):
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_benchmark_selftest_runs():
