@@ -124,14 +124,12 @@ SCHEMA: dict[str, tuple] = {
     "train.td.batch_m": (_count, "3"),
     "train.td.steps": (_count, "300"),
     "train.td.learning_rate": (_real, "0.01"),
-    "train.td.clip_norm": (float, "3.0"),  # inf turns clipping off
     "train.td.language_weights": (_lang_map(_real), ""),  # lang:weight; empty = uniform
     "train.td.seed": (_seed, "1"),
     "train.ti.batch_n": (_count, "4"),
     "train.ti.batch_m": (_count, "3"),
     "train.ti.steps": (_count, "300"),
     "train.ti.learning_rate": (_real, "0.01"),
-    "train.ti.clip_norm": (float, "3.0"),
     "train.ti.language_weights": (_lang_map(_real), ""),
     "train.ti.seed": (_seed, "2"),
 

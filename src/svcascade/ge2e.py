@@ -26,6 +26,7 @@ SEGMENT_KEYWORD_QUERY = "keyword+query"
 SEGMENTS = (SEGMENT_KEYWORD, SEGMENT_KEYWORD_QUERY)
 
 SCALE_FLOOR = 1e-3
+CLIP_NORM = 3.0  # the global gradient norm that each step is clipped to
 
 # set to 1 in a training worker's environment: a worker is one CPU's worth of training
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -38,7 +39,6 @@ class TrainConfig:
     batch_m: int = 3
     steps: int = 200
     learning_rate: float = 0.01
-    clip_norm: float = 3.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -50,8 +50,6 @@ class TrainConfig:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
         if not self.learning_rate > 0:
             raise ValidationError("learning_rate must be positive")
-        if not self.clip_norm > 0:
-            raise ValidationError("clip_norm must be positive")
         if not self.language_weights:
             raise ValidationError("language_weights must not be empty")
         if any(w < 0 for w in self.language_weights.values()):
@@ -250,23 +248,13 @@ def train(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
         frames = frames.reshape(cfg.batch_n, cfg.batch_m, *frames.shape[1:])
         loss, grads = backward(params, frames)
         norm = dvector.global_norm(grads)
-        scale = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
+        scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
         for name in params.values:
             params.values[name] -= cfg.learning_rate * scale * grads[name]
         if float(params["ge2e/scale"]) < SCALE_FLOOR:
             params["ge2e/scale"] = np.array(SCALE_FLOOR)
         trace.append((step, loss, lang))
     return params, trace
-
-
-def train_per_language(corpus: Corpus, spec: dvector.NetworkSpec, cfg: TrainConfig,
-                       segment: str, seeds: dict[int, int]) -> dict[int, dvector.Parameters]:
-    """One monolingual model per language in `seeds`, each trained like
-    `train` with `cfg` on that language alone and with its own seed, all in
-    one `train_models` call."""
-    models = train_models(corpus, [(spec, cfg.monolingual(lang, seed), segment)
-                                   for lang, seed in seeds.items()])
-    return {lang: params for lang, (params, _) in zip(seeds, models)}
 
 
 Job = tuple[dvector.NetworkSpec, TrainConfig, str]  # the arguments of `train` after the corpus
@@ -276,10 +264,11 @@ _pool: _Pool | None = None  # built by the first `train_models` call that has jo
 def train_models(corpus: Corpus, jobs: list[Job]) -> list[tuple[dvector.Parameters, list]]:
     """`train(corpus, *job)` for every job, in the process-wide training pool;
     the results come back in job order and equal those of `train` bit for
-    bit.  A job that raises raises here, the first such job in job order; a
-    worker that dies is a ToolError naming its model.  A pool broken by either
-    a dead worker or an interrupt is replaced on the next call.  The pool
-    serves one call at a time: call this from one thread."""
+    bit.  The pool grows to one worker per job, up to one per usable CPU, and
+    never shrinks.  A job that raises raises here, the first such job in job
+    order; a worker that dies is a ToolError naming its model.  A pool broken
+    by either a dead worker or an interrupt is replaced on the next call.  The
+    pool serves one call at a time: call this from one thread."""
     global _pool
     if not jobs:
         return []
@@ -287,6 +276,11 @@ def train_models(corpus: Corpus, jobs: list[Job]) -> list[tuple[dvector.Paramete
         if _pool is not None:
             _pool.close(kill=True)
         _pool = _Pool()
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    _pool.grow(min(cpus, len(jobs)))
     return _pool.run(corpus, jobs)
 
 
@@ -314,21 +308,21 @@ def _serve(conn) -> None:
 
 
 class _Pool:
-    """One spawn worker per usable CPU, each running `_serve` at one BLAS
-    thread.  Spawned workers share nothing with the parent but their pipes."""
+    """Spawn workers, each running `_serve` at one BLAS thread.  Spawned
+    workers share nothing with the parent but their pipes."""
 
     def __init__(self) -> None:
+        self.workers = {}  # the parent's end of each worker's pipe -> its process
+        atexit.register(self.close)
+
+    def grow(self, count: int) -> None:
+        """Starts workers until there are `count`."""
         import multiprocessing  # here, so that importing the package does not pay for it
         context = multiprocessing.get_context("spawn")
-        try:
-            count = len(os.sched_getaffinity(0))
-        except AttributeError:  # a platform without CPU affinity
-            count = os.cpu_count() or 1
         saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
-        self.workers = {}  # the parent's end of each worker's pipe -> its process
         try:
             os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
-            for _ in range(count):
+            while len(self.workers) < count:
                 conn, child = context.Pipe()
                 process = context.Process(target=_serve, args=(child,), daemon=True)
                 process.start()
@@ -343,7 +337,6 @@ class _Pool:
                     os.environ.pop(name, None)
                 else:
                     os.environ[name] = value
-        atexit.register(self.close)
 
     def alive(self) -> bool:
         return bool(self.workers) and all(p.is_alive() for p in self.workers.values())

@@ -43,8 +43,9 @@ def trained_models(small_corpus):
                               language_weights=weights, seed=3)
     ti_cfg = ge2e.TrainConfig(batch_n=4, batch_m=3, steps=400,
                               language_weights=weights, seed=4)
-    td, _ = ge2e.train(small_corpus, dvector.TD_SMALL, td_cfg, ge2e.SEGMENT_KEYWORD)
-    ti, _ = ge2e.train(small_corpus, dvector.TI_SMALL, ti_cfg, ge2e.SEGMENT_KEYWORD_QUERY)
+    (td, _), (ti, _) = ge2e.train_models(small_corpus, [
+        (dvector.TD_SMALL, td_cfg, ge2e.SEGMENT_KEYWORD),
+        (dvector.TI_SMALL, ti_cfg, ge2e.SEGMENT_KEYWORD_QUERY)])
     return {"td": td, "ti": ti}
 
 
@@ -84,15 +85,14 @@ def multilingual_runs():
         pooled_cfg = ge2e.TrainConfig(
             batch_n=4, batch_m=3, steps=500,
             language_weights={lang: 1.0 for lang in range(4)}, seed=seed * 100)
-        pooled, _ = ge2e.train(corpus, dvector.TI_SMALL, pooled_cfg,
-                               ge2e.SEGMENT_KEYWORD_QUERY)
-        monos = ge2e.train_per_language(corpus, dvector.TI_SMALL, pooled_cfg,
-                                        ge2e.SEGMENT_KEYWORD_QUERY,
-                                        {lang: seed * 100 + 1 + lang for lang in range(4)})
+        cfgs = [pooled_cfg, *(pooled_cfg.monolingual(lang, seed * 100 + 1 + lang)
+                              for lang in range(4))]
+        pooled, *monos = (params for params, _ in ge2e.train_models(
+            corpus, [(dvector.TI_SMALL, cfg, ge2e.SEGMENT_KEYWORD_QUERY) for cfg in cfgs]))
         run = {"seed": seed,
                "pooled_unseen": eer(pooled, held_out),
                "pooled_seen": {}, "mono_matched": {}, "mono_unseen": {}}
-        for lang, mono in monos.items():
+        for lang, mono in enumerate(monos):
             run["pooled_seen"][lang] = eer(pooled, lang)
             run["mono_matched"][lang] = eer(mono, lang)
             run["mono_unseen"][lang] = eer(mono, held_out)

@@ -67,8 +67,8 @@ def test_defaults_from_empty_file(tmp_path):
                  id="network-spec"),
     pytest.param(synthcorpus.CorpusSpec, {}, {"speaker_scale": float("nan")},
                  "speaker_scale must be a nonnegative real", id="corpus-spec"),
-    pytest.param(ge2e.TrainConfig, {"language_weights": {0: 1.0}}, {"clip_norm": 0.0},
-                 "clip_norm must be positive", id="train-config"),
+    pytest.param(ge2e.TrainConfig, {"language_weights": {0: 1.0}}, {"learning_rate": 0.0},
+                 "learning_rate must be positive", id="train-config"),
     pytest.param(fusion.FusionWeight, {"alpha": 0.5}, {"alpha": 1.5},
                  "fusion weight must be in", id="fusion-weight"),
     pytest.param(TriagePolicy, dict(lower=0.2, upper=0.6, alpha=fusion.FusionWeight(0.5)),
