@@ -95,13 +95,14 @@ def write_table(path: str, rows: Iterable[Sequence[str]], header: Sequence[str] 
 _TABLE_BLOCK = 2048  # lines per read_table block, so a table's fields are never all held at once
 
 
-def read_table(path: str, width: int, header: Sequence[str] | None = None,
-               sep: str = "\t") -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+def read_table(path: str, width: int, header: Sequence[str] | None = None, sep: str = "\t",
+               text: str | None = None) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
     """(line numbers, columns) of each block of at most _TABLE_BLOCK non-blank lines
     of a write_table file after its `header`; columns[k] is field k of each line.  A
     first line other than `header`, or a line without exactly `width` fields, is a
-    ValidationError naming path:line, raised once the lines before it are yielded."""
-    lines = read_text(path).split("\n")
+    ValidationError naming path:line, raised once the lines before it are yielded.
+    `text`, when given, is parsed in place of reading the file."""
+    lines = (read_text(path) if text is None else text).split("\n")
     if header is not None and lines[0] != sep.join(header):
         raise ValidationError(f"{path}:1: expected the header {sep.join(header)!r}")
     for start in range(header is not None, len(lines), _TABLE_BLOCK):

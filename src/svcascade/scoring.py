@@ -8,7 +8,7 @@ rather than a silent fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,11 +120,25 @@ def _score_columns(labels: list[str], td: list[str], ti: list[str]) -> tuple:
     return np.frombuffer("".join(labels)[::3].encode(), "S1") == b"t", td_col, ti_col
 
 
+_last: tuple[str, ScoreTable] | None = None  # the text load_scores parsed last, and its table
+
+
 def load_scores(path: str) -> ScoreTable:
-    """Reads save_scores' TSV; both scores of every line must be finite numbers."""
+    """Reads save_scores' TSV; both scores of every line must be finite numbers.
+    A file that holds the text parsed last is not parsed again: the tables share
+    read-only arrays, and each caller gets lists of its own."""
+    global _last
+    text = errors.read_text(path)
+    if _last is None or _last[0] != text:
+        _last = text, _parse_scores(path, text)
+    table = _last[1]
+    return replace(table, speakers=list(table.speakers), utterances=list(table.utterances))
+
+
+def _parse_scores(path: str, text: str) -> ScoreTable:
     speakers, utterances = [], []
     labels, td, ti = [np.zeros(0, bool)], [np.zeros(0)], [np.zeros(0)]
-    for numbers, (spk, utt, *scored) in errors.read_table(path, 5):
+    for numbers, (spk, utt, *scored) in errors.read_table(path, 5, text=text):
         try:
             block = _score_columns(*scored)
         except ValidationError:  # the first bad line, checked on its own, names the error
@@ -138,5 +152,7 @@ def load_scores(path: str) -> ScoreTable:
         utterances += utt
         for column, part in zip((labels, td, ti), block):
             column.append(part)
-    return ScoreTable(speakers=speakers, utterances=utterances, labels=np.concatenate(labels),
-                      td=np.concatenate(td), ti=np.concatenate(ti))
+    columns = [np.concatenate(column) for column in (labels, td, ti)]
+    for column in columns:
+        column.flags.writeable = False
+    return ScoreTable(speakers, utterances, *columns)

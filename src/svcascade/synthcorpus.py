@@ -80,8 +80,6 @@ class Corpus:
     spec: CorpusSpec
     keyword: np.ndarray  # (utterances, keyword_frames, feature_dim) float32
     query: np.ndarray  # (utterances, query_frames, feature_dim) float32
-    # speaker_id -> raw voice vector; diagnostic only, not persisted
-    voice_vectors: dict[str, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         speakers = self.speaker_rows(range(self.spec.languages))
@@ -139,12 +137,11 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     q_kmax = max(2, spec.query_frames // 2)
 
     corpus = Corpus(spec, np.empty((spec.utterance_count, spec.keyword_frames, dim), np.float32),
-                    np.empty((spec.utterance_count, spec.query_frames, dim), np.float32), {})
+                    np.empty((spec.utterance_count, spec.query_frames, dim), np.float32))
     for lang in range(spec.languages):
         shift = rng.standard_normal(dim) * spec.language_shift_scale
-        for sid, rows in corpus.speaker_rows([lang]).items():
+        for rows in corpus.speaker_rows([lang]).values():
             voice = shift + rng.standard_normal(dim) * spec.speaker_scale
-            corpus.voice_vectors[sid] = voice
             for row in rows:
                 corpus.keyword[row] = _segment(rng, voice, spec.keyword_frames, dim,
                                                kw_cycles, spec.utterance_noise_scale)

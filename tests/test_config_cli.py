@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 
@@ -552,19 +554,24 @@ def test_report_fields(pipeline):
     assert float(fields["eer"]) <= float(fields["eer_td"]) + 1e-9
 
 
+def save_tie_heavy_scores(workdir):
+    """A scores.tsv of 300 trials whose scores lie on a 0.1 grid, signed zeros included."""
+    rng = np.random.default_rng(5)
+    labels = rng.random(300) < 0.4
+    td, ti = (np.clip(np.round(rng.standard_normal(300) * 0.3 + 0.2 * labels, 1), -0.9, 0.9)
+              for _ in range(2))
+    scoring.save_scores(os.path.join(workdir, "scores/scores.tsv"), scoring.ScoreTable(
+        ["s0"] * 300, [f"u{i}" for i in range(300)], labels, td, ti))
+
+
 @pytest.mark.parametrize("tie_heavy", [False, True])
 def test_report_eers_are_the_single_system_eers(pipeline, tmp_path, tie_heavy):
     """report reads eer_td and eer_ti from the sweep's alpha = 1 and alpha = 0
     rows; they are compute_eer of the TD and TI columns to the bit."""
     workdir, cfg_path = pipeline, os.path.join(pipeline, "exp.cfg")
-    if tie_heavy:  # scores on a 0.1 grid, signed zeros included
+    if tie_heavy:
         workdir, cfg_path = str(tmp_path), str(write_config(tmp_path / "exp.cfg", str(tmp_path)))
-        rng = np.random.default_rng(5)
-        labels = rng.random(300) < 0.4
-        td, ti = (np.clip(np.round(rng.standard_normal(300) * 0.3 + 0.2 * labels, 1), -0.9, 0.9)
-                  for _ in range(2))
-        scoring.save_scores(os.path.join(workdir, "scores/scores.tsv"), scoring.ScoreTable(
-            ["s0"] * 300, [f"u{i}" for i in range(300)], labels, td, ti))
+        save_tie_heavy_scores(workdir)
         for command in ("fuse-sweep", "triage-sweep", "report"):
             assert cli.run(command, cfg_path) == 0
     scores = scoring.load_scores(os.path.join(workdir, "scores/scores.tsv"))
@@ -575,6 +582,34 @@ def test_report_eers_are_the_single_system_eers(pipeline, tmp_path, tie_heavy):
         eer = compute_eer(column[scores.labels], column[~scores.labels]).eer
         assert sweep.table[row][1] == eer
         assert fields[key] == "%.9f" % eer
+
+
+def test_stages_in_one_process_and_in_their_own_agree(tmp_path):
+    """The stages that read scores.tsv write the same bytes when they run one
+    after another in one process, and when each runs in a process of its own."""
+    stages = ("fuse-sweep", "triage-sweep", "triage-apply", "eval", "report")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outputs = []
+    for workdir in (tmp_path / "one", tmp_path / "each"):
+        workdir.mkdir()
+        cfg_path = str(write_config(workdir / "exp.cfg", str(workdir)))
+        save_tie_heavy_scores(str(workdir))
+        for command in stages:
+            if workdir.name == "one":
+                assert cli.run(command, cfg_path) == 0
+            else:
+                done = subprocess.run(
+                    [sys.executable, "-m", "svcascade.cli", command, "--config", cfg_path],
+                    env=env, capture_output=True, text=True, timeout=300)
+                assert done.returncode == 0, done.stderr
+        files = {name: (workdir / "reports" / name).read_bytes()
+                 for name in os.listdir(workdir / "reports")}
+        files["triaged.tsv"] = (workdir / "scores" / "triaged.tsv").read_bytes()
+        outputs.append(files)
+    assert {"fusion_sweep.csv", "heatmap.csv", "eval.csv", "report.txt"} <= outputs[0].keys()
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_csv_has_both_systems(pipeline):

@@ -1,4 +1,5 @@
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -164,6 +165,73 @@ def test_load_scores_rejects_malformed(tmp_path):
             load_scores(str(path))
 
 
+def _memo_table(name):
+    """A small table whose speaker ids, and so whose text, no other test writes."""
+    return scoring.ScoreTable([name] * 4, ["u0", "u1", "u2", "u3"],
+                              np.array([True, False, True, False]),
+                              np.array([0.25, -0.5, 0.75, 0.0]), np.array([0.5, 0.125, -0.25, 1.0]))
+
+
+def _same_table(a, b):
+    return (a.speakers, a.utterances) == (b.speakers, b.utterances) and all(
+        getattr(a, k).tobytes() == getattr(b, k).tobytes() for k in ("labels", "td", "ti"))
+
+
+def test_unchanged_text_is_parsed_once(tmp_path):
+    path = str(tmp_path / "scores.tsv")
+    save_scores(path, _memo_table("once"))
+    with mock.patch.object(scoring, "_score_columns", wraps=scoring._score_columns) as parse:
+        first = load_scores(path)
+        parsed = parse.call_count
+        second = load_scores(path)
+    assert parsed == 1 and parse.call_count == 1
+    assert _same_table(first, second) and _same_table(first, _memo_table("once"))
+
+
+def test_a_rewrite_in_place_is_parsed_afresh(tmp_path):
+    """Same length, same inode, same mtime: only the text tells the two apart."""
+    path = tmp_path / "scores.tsv"
+    save_scores(str(path), _memo_table("rewrite"))
+    assert load_scores(str(path)).td.tolist() == [0.25, -0.5, 0.75, 0.0]
+    before = os.stat(path)
+    with open(path, "r+b") as f:
+        f.write(path.read_bytes().replace(b"0.250000000", b"0.875000000"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+        before.st_ino, before.st_size, before.st_mtime_ns)
+    assert load_scores(str(path)).td.tolist() == [0.875, -0.5, 0.75, 0.0]
+
+
+def test_a_malformed_rewrite_fails_as_a_fresh_load(tmp_path):
+    path = tmp_path / "scores.tsv"
+    save_scores(str(path), _memo_table("malformed"))
+    good = path.read_bytes()
+    load_scores(str(path))
+    path.write_bytes(good.replace(b"\tnon\t", b"\tmaybe\t", 1))
+    with pytest.raises(ValidationError) as fresh:
+        _per_line_load_scores(str(path))
+    assert str(fresh.value) == f"{path}:2: malformed score line"
+    for _ in range(2):  # a failed parse is not remembered
+        with pytest.raises(ValidationError) as exc:
+            load_scores(str(path))
+        assert str(exc.value) == str(fresh.value)
+    path.write_bytes(good)
+    assert _same_table(load_scores(str(path)), _memo_table("malformed"))
+
+
+def test_a_loaded_table_cannot_change_the_next(tmp_path):
+    path = str(tmp_path / "scores.tsv")
+    save_scores(path, _memo_table("readonly"))
+    first = load_scores(path)
+    for name in ("labels", "td", "ti"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(first, name)[0] = 1
+    first.speakers.append("intruder")
+    first.utterances.append("u9")
+    assert _same_table(load_scores(path), _memo_table("readonly"))
+
+
 def _per_line_load_scores(path):
     """load_scores as it was before it parsed blocks of columns: one line at
     a time, each field checked and converted on its own.  The oracle below."""
@@ -226,7 +294,8 @@ def test_load_scores_matches_per_line_reference(tmp_path_factory, text, block):
     path = str(tmp_path_factory.mktemp("scores") / "scores.tsv")
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(text)
-    with mock.patch.object(errors, "_TABLE_BLOCK", block):
+    # with no table remembered, so that every example is parsed in blocks of `block`
+    with mock.patch.object(errors, "_TABLE_BLOCK", block), mock.patch.object(scoring, "_last", None):
         results = []
         for load in (_per_line_load_scores, load_scores):
             try:
