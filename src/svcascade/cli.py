@@ -1,5 +1,5 @@
 """Command-line entry point wiring the pipeline:
-gen-data -> train -> score -> fuse-sweep -> triage-sweep / triage-apply
+gen-data -> train -> score -> fuse-sweep -> triage-sweep -> triage-apply
 -> eval / xeval -> report.
 
 Every command reads one config file and writes only its documented
@@ -112,10 +112,7 @@ def cmd_fuse_sweep(cfg: ExperimentConfig) -> None:
 def _resolve_alpha(cfg: ExperimentConfig) -> FusionWeight:
     if cfg.fixed_alpha is not None:
         return cfg.fixed_alpha
-    sweep_path = os.path.join(cfg.report_dir, "fusion_sweep.csv")
-    if not os.path.exists(sweep_path):
-        raise DependencyError(
-            f"triage.alpha=sweep needs {sweep_path}; run `svcascade fuse-sweep` first")
+    sweep_path = _require(os.path.join(cfg.report_dir, "fusion_sweep.csv"), "fuse-sweep")
     return FusionWeight(fusion.load_sweep_csv(sweep_path).alpha_star)
 
 
@@ -131,9 +128,23 @@ def cmd_triage_sweep(cfg: ExperimentConfig) -> None:
         os.path.join(cfg.report_dir, "prior_curve.csv"), cells, cfg.priors)
 
 
+def _resolve_band(cfg: ExperimentConfig) -> tuple[float, float]:
+    """The config's band, or the heat map's best cell: the band-grid values written as its bounds."""
+    if cfg.fixed_band is not None:
+        return cfg.fixed_band
+    path = _require(os.path.join(cfg.report_dir, "heatmap.csv"), "triage-sweep")
+    best = ["%.6f" % bound for bound in triage.load_heatmap_csv(path)[:2]]
+    grid = {"%.6f" % value: value for value in cfg.bands}
+    if not set(best) <= grid.keys():
+        raise DependencyError(f"{path}: band ({', '.join(best)}) is not on the config's band "
+                              "grid; run `svcascade triage-sweep` first")
+    return grid[best[0]], grid[best[1]]
+
+
 def cmd_triage_apply(cfg: ExperimentConfig) -> None:
     scores = _load_scores(cfg)
-    policy = triage.TriagePolicy(cfg.triage_lower, cfg.triage_upper, _resolve_alpha(cfg))
+    alpha = _resolve_alpha(cfg)
+    policy = triage.TriagePolicy(*_resolve_band(cfg), alpha)
     final, triggered = triage.apply_triage(scores, policy)
     errors.write_table(os.path.join(cfg.score_dir, "triaged.tsv"), zip(
         scores.speakers, scores.utterances, ["tgt" if t else "non" for t in scores.labels.tolist()],

@@ -50,10 +50,9 @@ def _path(v: str) -> str:
     return v
 
 
-def _alpha(v: str) -> FusionWeight | None:
-    if v == "sweep":
-        return None
-    return FusionWeight(_real(v))
+def _sweep_or(parse):
+    """Parser for `sweep` (None: a sweep's file gives the value) or a value of `parse`."""
+    return lambda v: None if v == "sweep" else parse(v)
 
 
 def _priors(v: str) -> list[float]:
@@ -135,9 +134,9 @@ SCHEMA: dict[str, tuple] = {
 
     "fusion.grid_step": (_real, "0.01"),
 
-    "triage.lower": (_real, "0.23"),
-    "triage.upper": (_real, "0.65"),
-    "triage.alpha": (_alpha, "sweep"),  # "sweep" or a float in [0, 1]
+    "triage.lower": (_sweep_or(_real), "sweep"),  # both "sweep", or floats in [-1, 1]
+    "triage.upper": (_sweep_or(_real), "sweep"),
+    "triage.alpha": (_sweep_or(lambda v: FusionWeight(_real(v))), "sweep"),  # or a float in [0, 1]
     "triage.band_min": (_real, "-1.0"),
     "triage.band_max": (_real, "1.0"),
     "triage.band_step": (_real, "0.02"),
@@ -166,8 +165,7 @@ class ExperimentConfig:
     enroll_per_speaker: int
     trial_seed: int
     alphas: list[float]  # the fusion sweep's alpha grid
-    triage_lower: float
-    triage_upper: float
+    fixed_band: tuple[float, float] | None  # None: the band comes from the band sweep
     fixed_alpha: FusionWeight | None  # None: alpha comes from the fusion sweep
     bands: tuple[float, ...]  # the band sweep's grid
     priors: list[float]
@@ -269,8 +267,10 @@ def parse_config(path: str, seed_override: int | None = None) -> ExperimentConfi
     alphas = _check("fusion.grid_step", alpha_grid, values["fusion.grid_step"])
     bands = _check("triage.band_*", band_grid,
                    values["triage.band_min"], values["triage.band_max"], values["triage.band_step"])
-    # a swept alpha lies on the [0, 1] grid, so any weight stands in for it here
-    _check("triage.lower/upper", TriagePolicy, lower, upper, alpha or FusionWeight(0.0))
+    if (lower is None) != (upper is None):
+        raise ValidationError("config triage.lower, triage.upper: both sweep or both numbers")
+    if lower is not None:  # a swept alpha lies on the [0, 1] grid, so any weight stands in for it
+        _check("triage.lower/upper", TriagePolicy, lower, upper, alpha or FusionWeight(0.0))
     kw = corpus_spec.keyword_frames
     cost = _check("cost.keyword_seconds, cost.query_seconds", CostModel,
                   values["cost.keyword_seconds"], values["cost.query_seconds"],
@@ -292,8 +292,7 @@ def parse_config(path: str, seed_override: int | None = None) -> ExperimentConfi
         enroll_per_speaker=values["trials.enroll_per_speaker"],
         trial_seed=values["trials.seed"],
         alphas=alphas,
-        triage_lower=lower,
-        triage_upper=upper,
+        fixed_band=None if lower is None else (lower, upper),
         fixed_alpha=alpha,
         bands=tuple(bands.tolist()),
         priors=values["triage.priors"],

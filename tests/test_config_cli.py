@@ -55,12 +55,9 @@ def test_defaults_from_empty_file(tmp_path):
     assert cfg.corpus_spec.feature_dim == 16
     assert cfg.td_network.cells == 16 and cfg.ti_network.cells == 32
     assert cfg.td_train.seed == 1 and cfg.ti_train.seed == 2
-    assert cfg.triage_lower == 0.23 and cfg.triage_upper == 0.65
-    assert cfg.fixed_alpha is None
+    assert cfg.fixed_band is None and cfg.fixed_alpha is None  # both come from the sweeps
     assert cfg.priors == [0.0, 0.5, 1.0]
     assert cfg.keyword_seconds == 0.7 and cfg.query_seconds == 3.0
-    # the defaults form a valid triage policy once an alpha is known
-    TriagePolicy(cfg.triage_lower, cfg.triage_upper, cli.FusionWeight(0.5))
 
 
 @pytest.mark.parametrize("cls, good, bad, message", [
@@ -125,6 +122,12 @@ def test_fixed_alpha_parsed(tmp_path):
         parse_config(str(path))
 
 
+def test_fixed_band_parsed(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("triage.lower = -0.5\ntriage.upper = 0.25\n")
+    assert parse_config(str(path)).fixed_band == (-0.5, 0.25)
+
+
 def test_band_order_validated(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("triage.lower = 0.8\ntriage.upper = 0.2\n")
@@ -184,7 +187,13 @@ def test_cost_durations_must_be_positive(tmp_path):
     pytest.param(None, None, -5, "--seed", id="seed-flag"),
     pytest.param("paths.corpus_dir", "", None, "paths.corpus_dir", id="empty-path"),
     pytest.param("triage.band_min", "nan", None, "triage.band_min", id="band-nan"),
-    pytest.param("triage.lower", "-2", None, "triage.lower", id="band-below-minus-one"),
+    pytest.param({"triage.lower": "-2", "triage.upper": "0.5"}, None, None, "triage.lower",
+                 id="band-below-minus-one"),
+    # one band key swept and the other fixed would describe two bands
+    pytest.param("triage.lower", "0.2", None, "config triage.lower, triage.upper",
+                 id="band-lower-fixed-upper-swept"),
+    pytest.param({"triage.lower": "sweep", "triage.upper": "0.6"}, None, None,
+                 "config triage.lower, triage.upper", id="band-lower-swept-upper-fixed"),
     pytest.param("triage.band_min", "-1.5", None, "triage.band_*", id="band-grid-below-minus-one"),
     pytest.param("triage.band_step", "1e-300", None, "triage.band_*", id="band-step-too-fine"),
     pytest.param({"triage.band_min": "0.5", "triage.band_max": "0.5000001",
@@ -584,6 +593,48 @@ def test_report_eers_are_the_single_system_eers(pipeline, tmp_path, tie_heavy):
         assert fields[key] == "%.9f" % eer
 
 
+def test_triaged_tsv_applies_the_band_of_the_report(tmp_path):
+    """With the band at `sweep`, triage-apply applies the heat map's best
+    cell, the band that report.txt states: the per-class trigger fractions of
+    triaged.tsv, weighted 0.5 each, are its trigger_rate to all 9 decimals.
+    The best band is (-0.8, 0.3), and the 0.1-step grid that the sweep
+    counted with holds 0.3 as 0.30000000000000004, so the TD scores of 0.3
+    trigger; under the written decimal 0.3 they would not."""
+    cfg_path = str(write_config(tmp_path / "exp.cfg", str(tmp_path), **{"triage.band_step": "0.1"}))
+    save_tie_heavy_scores(str(tmp_path))
+    for command in ("fuse-sweep", "triage-sweep", "triage-apply", "report"):
+        assert cli.run(command, cfg_path) == 0
+    with open(tmp_path / "reports" / "report.txt") as f:
+        fields = dict(line.split("=") for line in f.read().split())
+    assert (fields["band_lower"], fields["band_upper"]) == ("-0.800000", "0.300000")
+    rows = [line.split("\t") for line in (tmp_path / "scores" / "triaged.tsv").read_text().split("\n")
+            if line]
+    labels = np.array([row[2] == "tgt" for row in rows])
+    triggered = np.array([row[4] == "1" for row in rows])
+    rate = 0.5 * triggered[labels].mean() + 0.5 * triggered[~labels].mean()
+    assert "%.9f" % rate == fields["trigger_rate"]
+
+
+def test_swept_band_needs_the_heat_map_of_the_config_grid(tmp_path, capsys):
+    """triage-apply with the band at `sweep` exits 2, naming triage-sweep and
+    writing nothing, when heatmap.csv is missing and when the heat map's best
+    band is not on the config's grid: it was swept with another band_step."""
+    cfg_path = str(write_config(tmp_path / "exp.cfg", str(tmp_path), **{"triage.band_step": "0.1"}))
+    save_tie_heavy_scores(str(tmp_path))
+    assert cli.run("fuse-sweep", cfg_path) == 0
+    assert cli.run("triage-apply", cfg_path) == 2
+    err = capsys.readouterr().err
+    assert "heatmap.csv" in err and "run `svcascade triage-sweep` first" in err
+    assert cli.run("triage-sweep", cfg_path) == 0  # best band (-0.8, 0.3)
+    other = str(write_config(tmp_path / "other.cfg", str(tmp_path),
+                             **{"triage.band_step": "0.25"}))
+    assert cli.run("triage-apply", other) == 2
+    err = capsys.readouterr().err
+    assert "band (-0.800000, 0.300000) is not on the config's band grid" in err
+    assert "run `svcascade triage-sweep` first" in err and "Traceback" not in err
+    assert not (tmp_path / "scores" / "triaged.tsv").exists()
+
+
 def test_stages_in_one_process_and_in_their_own_agree(tmp_path):
     """The stages that read scores.tsv write the same bytes when they run one
     after another in one process, and when each runs in a process of its own."""
@@ -753,6 +804,9 @@ def tiny_configs(draw):
               "triage.alpha": draw(st.sampled_from(["sweep", "0", "0.5", "1"])),
               "xeval.languages": ",".join(map(str, draw(
                   st.lists(st.integers(0, languages - 1), unique=True, max_size=2))))}
+    if draw(st.booleans()):  # a fixed band; else the default, the heat map's best cell
+        values["triage.lower"], values["triage.upper"] = draw(
+            st.sampled_from([("-1", "1"), ("0.2", "0.6"), ("0.5", "0.5")]))
     for s in ("td", "ti"):
         values[f"network.{s}.projection_dim"] = values[f"network.{s}.output_dim"] = draw(size)
         values.update({f"network.{s}.num_layers": draw(st.integers(1, 3)),
