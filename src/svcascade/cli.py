@@ -16,7 +16,7 @@ import sys
 from . import dvector, errors, fusion, ge2e, metrics, scoring, synthcorpus, triage
 from .config import ExperimentConfig, parse_config
 from .errors import DependencyError, ToolError, ValidationError
-from .fusion import FusionWeight
+from .fusion import GRID_FORMAT, FusionWeight
 
 
 def _require(path: str, producer: str) -> str:
@@ -110,10 +110,8 @@ def cmd_fuse_sweep(cfg: ExperimentConfig) -> None:
 
 
 def _resolve_alpha(cfg: ExperimentConfig) -> FusionWeight:
-    if cfg.fixed_alpha is not None:
-        return cfg.fixed_alpha
-    sweep_path = _require(os.path.join(cfg.report_dir, "fusion_sweep.csv"), "fuse-sweep")
-    return FusionWeight(fusion.load_sweep_csv(sweep_path).alpha_star)
+    return cfg.fixed_alpha or FusionWeight(fusion.load_sweep_csv(
+        _require(os.path.join(cfg.report_dir, "fusion_sweep.csv"), "fuse-sweep")).alpha_star)
 
 
 def cmd_triage_sweep(cfg: ExperimentConfig) -> None:
@@ -129,16 +127,15 @@ def cmd_triage_sweep(cfg: ExperimentConfig) -> None:
 
 
 def _resolve_band(cfg: ExperimentConfig) -> tuple[float, float]:
-    """The config's band, or the heat map's best cell: the band-grid values written as its bounds."""
+    """The config's band, or the heat map's best cell, whose bounds must be band-grid values."""
     if cfg.fixed_band is not None:
         return cfg.fixed_band
     path = _require(os.path.join(cfg.report_dir, "heatmap.csv"), "triage-sweep")
-    best = ["%.6f" % bound for bound in triage.load_heatmap_csv(path)[:2]]
-    grid = {"%.6f" % value: value for value in cfg.bands}
-    if not set(best) <= grid.keys():
-        raise DependencyError(f"{path}: band ({', '.join(best)}) is not on the config's band "
-                              "grid; run `svcascade triage-sweep` first")
-    return grid[best[0]], grid[best[1]]
+    band = triage.load_heatmap_csv(path)[:2]
+    if not set(band) <= set(cfg.bands):
+        raise DependencyError(f"{path}: band ({', '.join(GRID_FORMAT % b for b in band)}) is not "
+                              "on the config's band grid; run `svcascade triage-sweep` first")
+    return band
 
 
 def cmd_triage_apply(cfg: ExperimentConfig) -> None:
@@ -217,20 +214,18 @@ def cmd_report(cfg: ExperimentConfig) -> None:
     td_eer, ti_eer = sweep.table[-1][1], sweep.table[0][1]
     seconds, flops = cfg.cost.expected(rate)
 
-    lines = [
-        "eer_td=%.9f" % td_eer,
-        "eer_ti=%.9f" % ti_eer,
-        "alpha=%.6f" % sweep.alpha_star,
-        "eer_fused=%.9f" % sweep.eer_at_alpha_star,
-        "band_lower=%.6f" % lower,
-        "band_upper=%.6f" % upper,
-        "eer=%.9f" % eer,
-        "trigger_rate=%.9f" % rate,
-        "expected_latency_seconds=%.9f" % seconds,
-        "expected_flops=%.1f" % flops,
-    ]
-    with errors.write_atomic(os.path.join(cfg.report_dir, "report.txt")) as f:
-        f.write("\n".join(lines) + "\n")
+    errors.write_table(os.path.join(cfg.report_dir, "report.txt"), [
+        ("eer_td", "%.9f" % td_eer),
+        ("eer_ti", "%.9f" % ti_eer),
+        ("alpha", GRID_FORMAT % sweep.alpha_star),
+        ("eer_fused", "%.9f" % sweep.eer_at_alpha_star),
+        ("band_lower", GRID_FORMAT % lower),
+        ("band_upper", GRID_FORMAT % upper),
+        ("eer", "%.9f" % eer),
+        ("trigger_rate", "%.9f" % rate),
+        ("expected_latency_seconds", "%.9f" % seconds),
+        ("expected_flops", "%.1f" % flops),
+    ], sep="=")
 
 
 HANDLERS = {

@@ -1,4 +1,4 @@
-"""Linear TD/TI score combination and the optimal-weight linear sweep."""
+"""Linear TD/TI score fusion, its weight sweep, and both sweeps' grid of written decimals."""
 
 from __future__ import annotations
 
@@ -33,17 +33,21 @@ class FusionSweepResult:
         return cls(*min(table, key=lambda ae: (ae[1], ae[0])), table)
 
 
-GRID_END_GAP = 5e-7  # half the last of the 6 decimals the sweep files write
-MIN_GRID_STEP = 1e-5  # ten units of that last decimal, so grid values write apart
+GRID_FORMAT = "%.6f"  # how every file writes a grid value, which is the float of that text
+GRID_END_GAP = 5e-7  # half GRID_FORMAT's last decimal: steps closer below hi may write as hi
+MIN_GRID_STEP = 1e-5  # ten units of GRID_FORMAT's last decimal, so steps write apart
 
 
 def sweep_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """lo + step * i for i = 0, 1, ... while below hi - GRID_END_GAP, then hi."""
+    """lo + step * i for i = 0, 1, ... while below hi - GRID_END_GAP and written below hi, then
+    hi, each value the float of its GRID_FORMAT text, so that text parses back to it."""
     for name, x in (("lo", lo), ("hi", hi), ("step", step)):
         if not np.isfinite(x):
             raise ValidationError(f"grid {name} must be finite, got {x}")
-    values = lo + step * np.arange(max(int(np.ceil((hi - GRID_END_GAP - lo) / step)), 0) + 1)
-    return np.append(values[values < hi - GRID_END_GAP], hi)
+    steps = lo + step * np.arange(max(int(np.ceil((hi - GRID_END_GAP - lo) / step)), 0) + 1)
+    values = np.array([float(GRID_FORMAT % v) for v in steps[steps < hi - GRID_END_GAP].tolist()])
+    hi = float(GRID_FORMAT % hi)
+    return np.append(values[values < hi], hi)
 
 
 def alpha_grid(grid_step: float) -> list[float]:
@@ -66,7 +70,7 @@ def sweep_fusion_weight(scores: ScoreTable, alphas: list[float]) -> FusionSweepR
 
 
 def save_sweep_csv(path: str, result: FusionSweepResult) -> None:
-    errors.write_table(path, (("%.6f" % alpha, "%.9f" % eer) for alpha, eer in result.table),
+    errors.write_table(path, ((GRID_FORMAT % alpha, "%.9f" % eer) for alpha, eer in result.table),
                        header=("alpha", "eer"), sep=",")
 
 

@@ -1,14 +1,14 @@
 """Confidence-band triage between the cheap TD score and TD+TI fusion,
 with trigger-rate, latency and flop analytics.
 
-A trial escalates to fusion only when its TD score falls strictly inside
-the (lower, upper) band; boundary scores count as confident.  Triaged EER
-is computed on the mixed axis of raw TD scores (confident trials) and
-fused scores (triggered trials), with no per-branch recalibration.  The
-heat map's EERs come from per-class counts of final scores below each
-candidate threshold, for every band at once, so no cell sorts its own final
-scores; `metrics.compute_eer` serves single score sets, such as the TD
-scores that every empty band leaves.
+A trial escalates to fusion only when its TD score falls strictly inside the
+(lower, upper) band; a score on a bound, as the heat map writes it
+(`fusion.sweep_grid`), counts as confident.  Triaged EER is computed on the
+mixed axis of raw TD scores (confident trials) and fused scores (triggered
+trials), with no per-branch recalibration.  The heat map's EERs come from
+per-class counts of final scores below each candidate threshold, for every
+band at once, so no cell sorts its own final scores; `metrics.compute_eer`
+serves single score sets, such as the TD scores that every empty band leaves.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import errors
 from .errors import ValidationError
-from .fusion import GRID_END_GAP, MIN_GRID_STEP, FusionWeight, fuse, sweep_grid
+from .fusion import GRID_END_GAP, GRID_FORMAT, MIN_GRID_STEP, FusionWeight, fuse, sweep_grid
 from .metrics import compute_eer, far_frr_from_counts, interpolate_eer
 from .scoring import ScoreTable
 
@@ -109,9 +109,10 @@ BAND_GRID_MAX_VALUES = 1001  # about 500k sweep_bands cells; capped before alloc
 
 
 def band_grid(grid_min: float, grid_max: float, step: float) -> np.ndarray:
-    if not (-1.0 <= grid_min < grid_max - GRID_END_GAP and grid_max <= 1.0):  # keeps grid_min
-        raise ValidationError(f"band grid needs -1 <= min < max - {GRID_END_GAP:g} and max <= 1, "
-                              f"got [{grid_min}, {grid_max}]")
+    if not (-1.0 <= grid_min < grid_max - GRID_END_GAP and grid_max <= 1.0  # keeps grid_min
+            and GRID_FORMAT % grid_min != GRID_FORMAT % grid_max):  # and writes it apart from max
+        raise ValidationError(f"band grid needs -1 <= min < max - {GRID_END_GAP:g}, max <= 1 and "
+                              f"min, max written apart, got [{grid_min}, {grid_max}]")
     # too many values iff sweep_grid would keep (and so allocate) i = BAND_GRID_MAX_VALUES - 1
     if grid_min + step * (BAND_GRID_MAX_VALUES - 1) < grid_max - GRID_END_GAP:
         raise ValidationError(f"band grid step {step} over [{grid_min}, {grid_max}] gives more than "
@@ -262,14 +263,14 @@ def pareto_frontier(cells: list[BandCell]) -> list[BandCell]:
 
 
 def save_heatmap_csv(path: str, cells: list[BandCell]) -> None:
-    errors.write_table(path, (("%.6f" % c.lower, "%.6f" % c.upper, "%.9f" % c.eer,
+    errors.write_table(path, ((GRID_FORMAT % c.lower, GRID_FORMAT % c.upper, "%.9f" % c.eer,
                                "%.9f" % c.trigger_rate) for c in cells),
                        header=("lower", "upper", "eer", "trigger_rate"), sep=",")
 
 
 def save_prior_curve_csv(path: str, cells: list[BandCell], priors: list[float]) -> None:
     """Each cell once per prior, with its trigger rate under that prior."""
-    errors.write_table(path, (("%.6f" % p, "%.6f" % c.lower, "%.6f" % c.upper,
+    errors.write_table(path, (("%.6f" % p, GRID_FORMAT % c.lower, GRID_FORMAT % c.upper,
                                "%.9f" % c.rate_at(p), "%.9f" % c.eer)
                               for c in cells for p in priors),
                        header=("prior", "lower", "upper", "trigger_rate", "eer"), sep=",")

@@ -200,6 +200,11 @@ def test_cost_durations_must_be_positive(tmp_path):
                   "triage.band_step": "1e-300"}, None, None,
                  "config triage.band_*: band grid needs -1 <= min < max - 5e-07",
                  id="band-range-within-the-grid-end-gap"),
+    # 8e-7 apart, but both written 0.500000: the grid's two ends would be one value
+    pytest.param({"triage.band_min": "0.4999996", "triage.band_max": "0.5000004",
+                  "triage.band_step": "1e-5"}, None, None,
+                 "config triage.band_*: band grid needs -1 <= min < max - 5e-07, max <= 1 and "
+                 "min, max written apart", id="band-range-written-alike"),
     pytest.param("fusion.grid_step", "1e-6", None, "fusion.grid_step",
                  id="alpha-grid-finer-than-the-sweep-file"),
     pytest.param("triage.priors", "0,1.5", None, "triage.priors", id="prior-above-one"),
@@ -563,9 +568,9 @@ def test_report_fields(pipeline):
     assert float(fields["eer"]) <= float(fields["eer_td"]) + 1e-9
 
 
-def save_tie_heavy_scores(workdir):
+def save_tie_heavy_scores(workdir, seed=5):
     """A scores.tsv of 300 trials whose scores lie on a 0.1 grid, signed zeros included."""
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     labels = rng.random(300) < 0.4
     td, ti = (np.clip(np.round(rng.standard_normal(300) * 0.3 + 0.2 * labels, 1), -0.9, 0.9)
               for _ in range(2))
@@ -593,24 +598,29 @@ def test_report_eers_are_the_single_system_eers(pipeline, tmp_path, tie_heavy):
         assert fields[key] == "%.9f" % eer
 
 
+def triage_tie_heavy_scores(workdir, seed, **overrides):
+    """fuse-sweep, triage-sweep, triage-apply and report on save_tie_heavy_scores(seed):
+    report.txt's fields, and triaged.tsv's labels, final scores and trigger flags."""
+    cfg_path = str(write_config(workdir / "exp.cfg", str(workdir), **overrides))
+    save_tie_heavy_scores(str(workdir), seed)
+    for command in ("fuse-sweep", "triage-sweep", "triage-apply", "report"):
+        assert cli.run(command, cfg_path) == 0
+    fields = dict(line.split("=") for line in (workdir / "reports/report.txt").read_text().split())
+    rows = [line.split("\t") for line in (workdir / "scores/triaged.tsv").read_text().splitlines()]
+    return (fields, np.array([row[2] == "tgt" for row in rows]),
+            np.array([float(row[3]) for row in rows]), np.array([row[4] == "1" for row in rows]))
+
+
 def test_triaged_tsv_applies_the_band_of_the_report(tmp_path):
     """With the band at `sweep`, triage-apply applies the heat map's best
     cell, the band that report.txt states: the per-class trigger fractions of
     triaged.tsv, weighted 0.5 each, are its trigger_rate to all 9 decimals.
-    The best band is (-0.8, 0.3), and the 0.1-step grid that the sweep
-    counted with holds 0.3 as 0.30000000000000004, so the TD scores of 0.3
-    trigger; under the written decimal 0.3 they would not."""
-    cfg_path = str(write_config(tmp_path / "exp.cfg", str(tmp_path), **{"triage.band_step": "0.1"}))
-    save_tie_heavy_scores(str(tmp_path))
-    for command in ("fuse-sweep", "triage-sweep", "triage-apply", "report"):
-        assert cli.run(command, cfg_path) == 0
-    with open(tmp_path / "reports" / "report.txt") as f:
-        fields = dict(line.split("=") for line in f.read().split())
-    assert (fields["band_lower"], fields["band_upper"]) == ("-0.800000", "0.300000")
-    rows = [line.split("\t") for line in (tmp_path / "scores" / "triaged.tsv").read_text().split("\n")
-            if line]
-    labels = np.array([row[2] == "tgt" for row in rows])
-    triggered = np.array([row[4] == "1" for row in rows])
+    The best band is (-0.8, 0.4): its bounds are the decimals the heat map
+    writes, so the TD scores of exactly 0.4 are confident and those of 0.3
+    trigger, in the sweep's count and in triaged.tsv alike."""
+    fields, labels, _, triggered = triage_tie_heavy_scores(tmp_path, 5, **{
+        "triage.band_step": "0.1"})
+    assert (fields["band_lower"], fields["band_upper"]) == ("-0.800000", "0.400000")
     rate = 0.5 * triggered[labels].mean() + 0.5 * triggered[~labels].mean()
     assert "%.9f" % rate == fields["trigger_rate"]
 
@@ -625,14 +635,27 @@ def test_swept_band_needs_the_heat_map_of_the_config_grid(tmp_path, capsys):
     assert cli.run("triage-apply", cfg_path) == 2
     err = capsys.readouterr().err
     assert "heatmap.csv" in err and "run `svcascade triage-sweep` first" in err
-    assert cli.run("triage-sweep", cfg_path) == 0  # best band (-0.8, 0.3)
+    assert cli.run("triage-sweep", cfg_path) == 0  # best band (-0.8, 0.4)
     other = str(write_config(tmp_path / "other.cfg", str(tmp_path),
                              **{"triage.band_step": "0.25"}))
     assert cli.run("triage-apply", other) == 2
     err = capsys.readouterr().err
-    assert "band (-0.800000, 0.300000) is not on the config's band grid" in err
+    assert "band (-0.800000, 0.400000) is not on the config's band grid" in err
     assert "run `svcascade triage-sweep` first" in err and "Traceback" not in err
     assert not (tmp_path / "scores" / "triaged.tsv").exists()
+
+
+def test_triaged_tsv_fuses_at_the_alpha_of_the_report(tmp_path):
+    """triage-apply fuses at the alpha that fuse-sweep computed eer_fused
+    with: under a band that triggers every trial, the EER of triaged.tsv's
+    final scores is report.txt's eer_fused to all 9 decimals.  These scores
+    lie on a 0.1 grid, so a one-ulp change of alpha can move fused scores
+    across each other and change the EER; the best alpha is 0.71."""
+    fields, labels, final, triggered = triage_tie_heavy_scores(
+        tmp_path, 72, **{"fusion.grid_step": "0.01", "triage.lower": "-1", "triage.upper": "1"})
+    assert triggered.all()
+    assert "%.9f" % compute_eer(final[labels], final[~labels]).eer == fields["eer_fused"]
+    assert fields["alpha"] == "0.710000"
 
 
 def test_stages_in_one_process_and_in_their_own_agree(tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from svcascade.errors import ValidationError
 from svcascade.fusion import (
-    alpha_grid, load_sweep_csv, save_sweep_csv, sweep_fusion_weight, sweep_grid)
+    GRID_FORMAT, MIN_GRID_STEP, alpha_grid, load_sweep_csv, save_sweep_csv, sweep_fusion_weight,
+    sweep_grid)
 from svcascade.metrics import compute_eer
 from svcascade.triage import band_grid
 
@@ -22,6 +23,40 @@ def test_alpha_grid_includes_endpoints():
     for step in (0.0, 9e-6, 0.6):
         with pytest.raises(ValidationError):
             alpha_grid(step)
+
+
+def assert_written_grid(grid, lo, hi):
+    """Each value is the float of its GRID_FORMAT text, the values rise
+    strictly with distinct texts, and the ends are lo and hi as written."""
+    texts = [GRID_FORMAT % v for v in grid]
+    assert [float(t) for t in texts] == list(grid)
+    assert all(b > a for a, b in zip(grid, grid[1:])) and len(set(texts)) == len(texts)
+    assert (grid[0], grid[-1]) == (float(GRID_FORMAT % lo), float(GRID_FORMAT % hi))
+
+
+@settings(deadline=None)
+@given(st.floats(MIN_GRID_STEP, 0.5))
+@example(0.01)
+@example(1 / 49)
+@example(MIN_GRID_STEP)
+def test_alpha_grid_values_are_their_written_decimals(step):
+    assert_written_grid(alpha_grid(step), 0.0, 1.0)
+
+
+@settings(deadline=None)
+@given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(MIN_GRID_STEP, 2.0))
+@example(-1.0, 1.0, 0.02)
+@example(-1.0, 1.0, 0.019999998)
+@example(0.5, 0.5000005000001, 1e-5)
+@example(-0.1234564, 0.9876545, 0.0123457)
+def test_band_grid_values_are_their_written_decimals(a, b, step):
+    """Over every range and step the config's band grid accepts."""
+    lo, hi = min(a, b), max(a, b)
+    try:
+        grid = band_grid(lo, hi, step)
+    except ValidationError:
+        reject()
+    assert_written_grid(grid.tolist(), lo, hi)
 
 
 @pytest.mark.parametrize("make, named", [

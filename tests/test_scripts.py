@@ -2,12 +2,14 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import svcascade
+from svcascade import cli
 from test_config_cli import write_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -23,12 +25,18 @@ def run_script(path, *args):
 
 def test_run_pipeline_with_xeval(tmp_path):
     """Every stage, then the cross-language matrix from `train`'s pooled
-    checkpoints and per-language models."""
+    checkpoints and per-language models.  Each stage's wall time is one line
+    on stdout, and no artifact directory holds anything but artifacts."""
     cfg_path = write_config(tmp_path / "exp.cfg", str(tmp_path),
                             **{"train.td.steps": "10", "train.ti.steps": "10"})
     result = run_script(os.path.join(ROOT, "scripts", "run_pipeline.py"),
                         "--config", str(cfg_path), "--with-xeval")
     assert result.returncode == 0, result.stderr
+    timed = re.findall(r"^== svcascade (\S+): \d+\.\d{3} s$", result.stdout, re.MULTILINE)
+    assert timed == [c for c in cli.COMMANDS if c != "xeval"] + ["xeval"]
+    assert sorted(os.listdir(tmp_path / "reports")) == [
+        "eval.csv", "frontier.csv", "fusion_sweep.csv", "heatmap.csv", "prior_curve.csv",
+        "report.txt", "xeval_matrix.csv"]
     with open(tmp_path / "reports" / "xeval_matrix.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert [r["train_lang"] for r in rows if r["model"] == "pooled"] == ["0+1"] * 4

@@ -218,7 +218,7 @@ def test_band_grid_value_bound():
     # of 0.500000 rows: the floor the alpha grid has too refuses it
     with pytest.raises(ValidationError, match="band grid step must be at least 1e-05"):
         band_grid(0.5, 0.5000005000001, 1e-16)
-    assert band_grid(0.5, 0.5000005000001, 1e-5).tolist() == [0.5, 0.5000005000001]
+    assert band_grid(0.5, 0.5000005000001, 1e-5).tolist() == [0.5, 0.500001]
 
 
 def test_final_scores_match_manual_mixing(scored_trials):
